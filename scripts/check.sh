@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # One-command tier-1 verification (tox-free): unit/integration tests,
 # whole-tree bytecode compilation, a doctest pass over the
-# observability subsystem, and a smoke run of the exchange-throughput
-# bench (exercises the fast path end to end without timing asserts).
+# observability subsystem, a smoke run of the exchange-throughput
+# bench (exercises the fast path end to end without timing asserts),
+# and the federation benchmark's own tests (perfbench/tests, outside
+# tier-1's testpaths).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -464,5 +466,8 @@ print(f"telemetry guard ok: cardinality <= {limit}, "
       f"{last['errors_retained']}/{last['errors_expected']} error traces "
       f"retained, {reduction}x overhead cut")
 EOF
+
+echo "== perfbench (the benchmark's own tests) =="
+python -m pytest perfbench/tests -q
 
 echo "== all checks passed =="

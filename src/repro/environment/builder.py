@@ -328,7 +328,7 @@ class EnvironmentBuilder:
         # duck-typed: only the sharded KB can place a receiver on a shard,
         # so only sharded environments stamp ``shard`` span tags
         env._shard_of = getattr(env.knowledge_base, "shard_of_person", None)
-        env._bind_labelled_metrics()
+        env._bind_metrics()
         instrument_environment(env, metrics=self._metrics, tracer=self._tracer)
         if self._sampling is not None:
             if self._tracer is None:

@@ -40,7 +40,8 @@ from repro.communication.model import (
 from repro.environment.registry import AppDescriptor, DeliveryCallback
 from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile
 from repro.obs.events import KIND_DEADLINE, KIND_SHED
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.instrument import BYTES_BUCKETS
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.org.policy import INTERACTION_MESSAGE
 from repro.sim.world import World
@@ -254,24 +255,51 @@ class CSCWEnvironment:
 
         return EnvironmentBuilder(cls)
 
-    def _bind_labelled_metrics(self) -> None:
-        """Resolve the environment's labelled metric children once.
+    def _bind_metrics(self) -> None:
+        """Resolve every instrument the exchange path records into, once.
 
-        The flat ``env.exchange.*`` names stay authoritative (dashboards
-        and tests key on them); the labelled families add the ``domain``
-        dimension that lets federated runs sharing one registry tell
-        their environments apart.  Binding against
-        :data:`~repro.obs.metrics.NULL_METRICS` yields null children, so
-        the hot-path ``inc`` calls stay no-ops when metrics are off.
+        Each outcome is booked once, into the labelled
+        ``env.exchange.outcomes{domain,outcome}`` and
+        ``env.exchange.reasons{domain,reason}`` families; the registry
+        derives the flat ``env.exchange.outcome.<outcome>`` and
+        ``env.exchange.reason.<code>`` totals from them (summed over
+        ``domain``) when it is read.  The ``domain`` label lets
+        federated runs sharing one registry tell their environments
+        apart.  Binding against :data:`~repro.obs.metrics.NULL_METRICS`
+        yields null children, so the hot-path ``inc`` calls stay no-ops
+        when metrics are off.
         """
         obs = self.metrics
         outcomes = obs.counter("env.exchange.outcomes", labels=("domain", "outcome"))
+        obs.derive_totals("env.exchange.outcomes", "outcome", "env.exchange.outcome.")
         self._m_delivered = outcomes.labels(domain=self.name, outcome="delivered")
         self._m_failed = outcomes.labels(domain=self.name, outcome="failed")
         self._m_reasons = obs.counter("env.exchange.reasons", labels=("domain", "reason"))
+        obs.derive_totals("env.exchange.reasons", "reason", "env.exchange.reason.")
         self._m_reason_delivered = self._m_reasons.labels(
             domain=self.name, reason=REASON_DELIVERED
         )
+        #: reason code -> its child, resolved on the code's first failure
+        self._m_reason: dict[str, Counter] = {REASON_DELIVERED: self._m_reason_delivered}
+        self._m_attempted = obs.counter("env.exchange.attempted")
+        self._m_transparency = {
+            dimension: obs.counter(f"env.exchange.transparency.{dimension}")
+            for dimension in CSCW_DIMENSIONS
+        }
+        self._m_document_bytes = obs.histogram(
+            "env.exchange.document_bytes", buckets=BYTES_BUCKETS
+        )
+        self._m_shed_expired = obs.counter("env.shed.expired")
+        self._m_shed_overload = obs.counter("env.shed.overload")
+
+    def _reason_counter(self, code: str) -> Counter:
+        """This environment's ``env.exchange.reasons`` child for *code*."""
+        child = self._m_reason.get(code)
+        if child is None:
+            child = self._m_reason[code] = self._m_reasons.labels(
+                domain=self.name, reason=code
+            )
+        return child
 
     # -- people ----------------------------------------------------------------
     def register_person(self, communicator: Communicator) -> None:
@@ -305,7 +333,7 @@ class CSCWEnvironment:
             flushed += 1
         if expired:
             if self.metrics.enabled:
-                self.metrics.inc("env.shed.expired", expired)
+                self._m_shed_expired.inc(expired)
             if self.events.enabled:
                 self.events.record(
                     now,
@@ -485,12 +513,7 @@ class CSCWEnvironment:
             source_format, target_format, payload, min_fidelity=min_fidelity
         )
 
-    def _exchange(
-        self,
-        request: ExchangeRequest,
-        trace_id: str,
-        obs: MetricsRegistry | None = None,
-    ) -> ExchangeOutcome:
+    def _exchange(self, request: ExchangeRequest, trace_id: str) -> ExchangeOutcome:
         sender = request.sender
         receiver = request.receiver
         sender_app = request.sender_app
@@ -498,10 +521,9 @@ class CSCWEnvironment:
         activity_id = request.activity_id
         interaction = request.interaction
         self.exchanges_attempted += 1
-        if obs is None:
-            obs = self.metrics
-        if obs.enabled:
-            obs.inc("env.exchange.attempted")
+        metered = self.metrics.enabled
+        if metered:
+            self._m_attempted.inc()
         active = request.profile if request.profile is not None else _ALL_ON
         handled: list[str] = []
 
@@ -509,8 +531,8 @@ class CSCWEnvironment:
         # (e.g. after gateway hops) must not consume pipeline work.
         expires_at = self.effective_deadline(request.deadline)
         if expires_at is not None and self.world.now >= expires_at:
-            if obs.enabled:
-                obs.inc("env.shed.expired")
+            if metered:
+                self._m_shed_expired.inc()
             if self.events.enabled:
                 self.events.record(
                     self.world.now,
@@ -524,7 +546,6 @@ class CSCWEnvironment:
                 REASON_DEADLINE_EXCEEDED,
                 f"exchange deadline {expires_at:.3f} passed at {self.world.now:.3f}",
                 trace_id,
-                obs,
             )
 
         # Membership check: activity-scoped exchanges require membership.
@@ -536,7 +557,6 @@ class CSCWEnvironment:
                         REASON_MEMBERSHIP,
                         f"{person} is not a member of {activity_id}",
                         trace_id,
-                        obs,
                     )
 
         # 1. Organisation dimension (memoised per sender/receiver/interaction).
@@ -550,7 +570,6 @@ class CSCWEnvironment:
                     f"cross-organisation exchange ({sender_org} -> {receiver_org}) "
                     "with organisation transparency off",
                     trace_id,
-                    obs,
                 )
             if not verdict.policy_ok:
                 return self._fail(
@@ -558,7 +577,6 @@ class CSCWEnvironment:
                     f"no compatible policy between {sender_org} and {receiver_org} "
                     f"for {interaction}",
                     trace_id,
-                    obs,
                 )
             handled.append("organisation")
 
@@ -574,16 +592,15 @@ class CSCWEnvironment:
                     f"format mismatch ({sender_format} -> {receiver_format}) "
                     "with view transparency off",
                     trace_id,
-                    obs,
                 )
             try:
                 result = self._translate_payload(
                     sender_format, receiver_format, payload, request.min_fidelity
                 )
             except FidelityError as exc:
-                return self._fail(REASON_FIDELITY, str(exc), trace_id, obs)
+                return self._fail(REASON_FIDELITY, str(exc), trace_id)
             except InteropError as exc:
-                return self._fail(REASON_TRANSLATION, str(exc), trace_id, obs)
+                return self._fail(REASON_TRANSLATION, str(exc), trace_id)
             payload = result.document
             fidelity = result.fidelity
             translated = True
@@ -599,7 +616,6 @@ class CSCWEnvironment:
                 REASON_UNKNOWN_RECEIVER,
                 f"receiver {receiver!r} has no registered communicator",
                 trace_id,
-                obs,
             )
         if receiver_present:
             mode = "synchronous"
@@ -609,15 +625,14 @@ class CSCWEnvironment:
                     REASON_TIME_OPAQUE,
                     f"receiver {receiver} absent with time transparency off",
                     trace_id,
-                    obs,
                 )
             if (
                 request.priority <= 0
                 and self._shed_limit is not None
                 and len(self._pending_deliveries.get(receiver, ())) >= self._shed_limit
             ):
-                if obs.enabled:
-                    obs.inc("env.shed.overload")
+                if metered:
+                    self._m_shed_overload.inc()
                 if self.events.enabled:
                     self.events.record(
                         self.world.now,
@@ -633,7 +648,6 @@ class CSCWEnvironment:
                     f"receiver {receiver} has {self._shed_limit} deliveries "
                     "queued; shedding to protect the environment",
                     trace_id,
-                    obs,
                 )
             mode = "asynchronous"
             handled.append("time")
@@ -677,16 +691,13 @@ class CSCWEnvironment:
                 ),
             )
         )
-        self.world.metrics.increment("env.exchange.delivered")
-        self.world.metrics.increment(f"env.exchange.{mode}")
-        if obs.enabled:
-            obs.inc("env.exchange.outcome.delivered")
-            obs.inc(f"env.exchange.reason.{REASON_DELIVERED}")
+        if metered:
             self._m_delivered.inc()
             self._m_reason_delivered.inc()
+            transparency = self._m_transparency
             for dimension in handled:
-                obs.inc(f"env.exchange.transparency.{dimension}")
-            obs.observe("env.exchange.document_bytes", size_bytes)
+                transparency[dimension].inc()
+            self._m_document_bytes.observe(size_bytes)
         return ExchangeOutcome(
             delivered=True,
             mode=mode,
@@ -750,9 +761,8 @@ class CSCWEnvironment:
                     stop += 1
                 self._exchange_group(requests[start:stop], trace_id, outcomes)
                 start = stop
-            obs = self.metrics
-            if obs.enabled and outcomes:
-                self._flush_batch_metrics(obs, outcomes)
+            if self.metrics.enabled and outcomes:
+                self._flush_batch_metrics(outcomes)
             delivered = sum(1 for outcome in outcomes if outcome.delivered)
             span.tag(delivered=delivered, failed=len(outcomes) - delivered)
             return outcomes
@@ -780,11 +790,9 @@ class CSCWEnvironment:
         activity_id = head.activity_id
         self.exchanges_attempted += size
         active = head.profile if head.profile is not None else _ALL_ON
-        world_metrics = self.world.metrics
 
         def fail_all(code: str, reason: str) -> None:
             self.exchanges_failed += size
-            world_metrics.increment("env.exchange.failed", size)
             outcomes.extend(
                 [
                     ExchangeOutcome(
@@ -802,9 +810,8 @@ class CSCWEnvironment:
         # Deadline first, as in _exchange (the run shares one deadline).
         expires_at = self.effective_deadline(head.deadline)
         if expires_at is not None and self.world.now >= expires_at:
-            obs = self.metrics
-            if obs.enabled:
-                obs.inc("env.shed.expired", size)
+            if self.metrics.enabled:
+                self._m_shed_expired.inc(size)
             if self.events.enabled:
                 self.events.record(
                     self.world.now,
@@ -1096,12 +1103,10 @@ class CSCWEnvironment:
                 made[outcome_key] = outcome
             outcomes.append(outcome)
 
-        if failed:
-            self.exchanges_failed += failed
-            world_metrics.increment("env.exchange.failed", failed)
+        self.exchanges_failed += failed
         if shed:
             if self.metrics.enabled:
-                self.metrics.inc("env.shed.overload", shed)
+                self._m_shed_overload.inc(shed)
             if self.events.enabled:
                 self.events.record(
                     now,
@@ -1113,23 +1118,14 @@ class CSCWEnvironment:
                     batch=True,
                     shed_class=head.shed_class,
                 )
-        delivered = sync_count + async_count
-        if delivered:
-            world_metrics.increment("env.exchange.delivered", delivered)
-        if sync_count:
-            world_metrics.increment("env.exchange.synchronous", sync_count)
-        if async_count:
-            world_metrics.increment("env.exchange.asynchronous", async_count)
 
-    def _flush_batch_metrics(
-        self, obs: MetricsRegistry, outcomes: "list[ExchangeOutcome]"
-    ) -> None:
+    def _flush_batch_metrics(self, outcomes: "list[ExchangeOutcome]") -> None:
         """Record one batch's outcomes as if each had been counted live."""
-        obs.inc("env.exchange.attempted", len(outcomes))
+        self._m_attempted.inc(len(outcomes))
         reasons: dict[str, int] = {}
         dimensions: dict[str, int] = {}
         delivered = 0
-        size_histogram = obs.histogram("env.exchange.document_bytes")
+        size_histogram = self._m_document_bytes
         for outcome in outcomes:
             reasons[outcome.reason_code] = reasons.get(outcome.reason_code, 0) + 1
             if outcome.delivered:
@@ -1138,16 +1134,13 @@ class CSCWEnvironment:
                     dimensions[dimension] = dimensions.get(dimension, 0) + 1
                 size_histogram.observe(outcome.size_bytes)
         if delivered:
-            obs.inc("env.exchange.outcome.delivered", delivered)
             self._m_delivered.inc(delivered)
         if delivered != len(outcomes):
-            obs.inc("env.exchange.outcome.failed", len(outcomes) - delivered)
             self._m_failed.inc(len(outcomes) - delivered)
         for code, count in reasons.items():
-            obs.inc(f"env.exchange.reason.{code}", count)
-            self._m_reasons.labels(domain=self.name, reason=code).inc(count)
+            self._reason_counter(code).inc(count)
         for dimension, count in dimensions.items():
-            obs.inc(f"env.exchange.transparency.{dimension}", count)
+            self._m_transparency[dimension].inc(count)
 
     # -- runtime overload knobs (driven by the control plane) -------------------
     @property
@@ -1196,22 +1189,11 @@ class CSCWEnvironment:
             return self.world.now + self._default_deadline_s
         return None
 
-    def _fail(
-        self,
-        code: str,
-        reason: str,
-        trace_id: str = "",
-        obs: MetricsRegistry | None = None,
-    ) -> ExchangeOutcome:
+    def _fail(self, code: str, reason: str, trace_id: str = "") -> ExchangeOutcome:
         self.exchanges_failed += 1
-        self.world.metrics.increment("env.exchange.failed")
-        if obs is None:
-            obs = self.metrics
-        if obs.enabled:
-            obs.inc("env.exchange.outcome.failed")
-            obs.inc(f"env.exchange.reason.{code}")
+        if self.metrics.enabled:
             self._m_failed.inc()
-            self._m_reasons.labels(domain=self.name, reason=code).inc()
+            self._reason_counter(code).inc()
         return ExchangeOutcome(
             delivered=False,
             mode="failed",

@@ -87,7 +87,7 @@ class ResolutionCache:
         #: secondary index: ``p:<person>`` / ``o:<org>`` tag -> route keys
         self._route_index: dict[str, set[tuple[str, str, str]]] = {}
         self._route_tags: dict[tuple[str, str, str], tuple[str, ...]] = {}
-        self._obs: MetricsRegistry = NULL_METRICS
+        self.attach_metrics(None)
         self.enabled = True
         self.route_hits = 0
         self.route_misses = 0
@@ -98,8 +98,15 @@ class ResolutionCache:
         self.generation = 0
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report cache activity to *metrics* (``None`` detaches)."""
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        """Report cache activity to *metrics* (``None`` detaches); the
+        counters are resolved here, once."""
+        self._obs = obs = metrics if metrics is not None else NULL_METRICS
+        self._m_route_hit = obs.counter("env.cache.route.hit")
+        self._m_route_miss = obs.counter("env.cache.route.miss")
+        self._m_formats_hit = obs.counter("env.cache.formats.hit")
+        self._m_formats_miss = obs.counter("env.cache.formats.miss")
+        self._m_invalidations = obs.counter("env.cache.invalidations")
+        self._m_evicted = obs.counter("env.cache.evicted")
 
     # -- lookups -----------------------------------------------------------
     def route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
@@ -111,13 +118,13 @@ class ResolutionCache:
         if verdict is None:
             self.route_misses += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.route.miss")
+                self._m_route_miss.inc()
             verdict = self._resolve_route(sender, receiver, interaction)
             self._store_route(key, verdict)
         else:
             self.route_hits += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.route.hit")
+                self._m_route_hit.inc()
         return verdict
 
     def formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
@@ -134,12 +141,12 @@ class ResolutionCache:
         if pair is None:
             self.format_misses += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.formats.miss")
+                self._m_formats_miss.inc()
             pair = self._formats[key] = self._resolve_formats(sender_app, receiver_app)
         else:
             self.format_hits += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.formats.hit")
+                self._m_formats_hit.inc()
         return pair
 
     def _resolve_route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
@@ -227,8 +234,8 @@ class ResolutionCache:
             self.evictions += removed
             self.invalidations += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.invalidations")
-                self._obs.inc("env.cache.evicted", removed)
+                self._m_invalidations.inc()
+                self._m_evicted.inc(removed)
 
     # -- invalidation ------------------------------------------------------
     def invalidate_routes(self) -> None:

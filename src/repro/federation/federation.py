@@ -213,6 +213,7 @@ class Federation:
         self.name = name
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._env_metrics = metrics
+        self._bind_metrics()
         self._tracer = tracer
         #: the federation's own span handle (never None; NULL_TRACER no-ops)
         self._trace: Tracer = tracer if tracer is not None else NULL_TRACER
@@ -251,6 +252,29 @@ class Federation:
         self._shadowing_started = False
         #: adaptive control plane (attached via :meth:`attach_control`)
         self.control: "ControlPlane | None" = None
+
+    def _bind_metrics(self) -> None:
+        """Resolve the federation's instruments once, so the exchange
+        path records with a direct ``inc()`` instead of a lookup by
+        metric name (null instruments when metrics are off)."""
+        obs = self._metrics
+        self._m_home_hit = obs.counter("env.federation.home.hit")
+        self._m_home_miss = obs.counter("env.federation.home.miss")
+        self._m_moves = obs.counter("env.federation.moves")
+        self._m_exchanges = obs.counter("env.federation.exchanges")
+        self._m_remote = obs.counter("env.federation.remote")
+        self._m_local = obs.counter("env.federation.local")
+        self._m_expired = obs.counter("env.federation.expired")
+        self._m_unknown_receiver = obs.counter("env.federation.unknown_receiver")
+        self._m_failover = obs.counter("env.federation.failover")
+        self._m_dead_letters = obs.counter("env.federation.dead_letters")
+        self._m_delivered = obs.counter("env.federation.delivered")
+        self._m_forwarded = obs.counter("env.federation.forwarded")
+        self._m_inbound = obs.counter("gateway.inbound")
+        self._m_deduplicated = obs.counter("gateway.deduplicated")
+        self._m_plan_relayed = obs.counter("mediation.plan.relayed")
+        self._m_relay_latency = obs.histogram("env.federation.relay_latency_s")
+        self._m_domains = obs.gauge("env.federation.domains")
 
     @classmethod
     def partition(
@@ -315,7 +339,7 @@ class Federation:
             self._wire_pair(domain, peer)
         self._domains[name] = domain
         if self._metrics.enabled:
-            self._metrics.set_gauge("env.federation.domains", len(self._domains))
+            self._m_domains.set(len(self._domains))
         return domain
 
     def _wire_pair(self, a: Domain, b: Domain) -> None:
@@ -552,10 +576,10 @@ class Federation:
         cached = self._home_cache.get(person_id)
         if cached is not None:
             if self._metrics.enabled:
-                self._metrics.inc("env.federation.home.hit")
+                self._m_home_hit.inc()
             return cached
         if self._metrics.enabled:
-            self._metrics.inc("env.federation.home.miss")
+            self._m_home_miss.inc()
         domains = list(self._domains.values())
         if not domains:
             raise UnknownObjectError(f"federation {self.name!r} has no domains")
@@ -612,7 +636,7 @@ class Federation:
         self._home_cache[person_id] = to_domain
         self._home_generation += 1
         if self._metrics.enabled:
-            self._metrics.inc("env.federation.moves")
+            self._m_moves.inc()
         assert moved is not None
         return moved
 
@@ -804,8 +828,8 @@ class Federation:
         if len(run) == 1:
             return [self._federated_exchange(run[0], route=route)]
         if self._metrics.enabled:
-            self._metrics.inc("env.federation.exchanges", len(run))
-            self._metrics.inc("env.federation.remote", len(run))
+            self._m_exchanges.inc(len(run))
+            self._m_remote.inc(len(run))
         return self._relay_exchange_group(origin, target, run)
 
     def _local_exchange_run(
@@ -823,7 +847,7 @@ class Federation:
         obs = self._metrics
         started = self.world.now
         if obs.enabled:
-            obs.inc("env.federation.exchanges", len(run))
+            self._m_exchanges.inc(len(run))
         results: list[FederatedOutcome | None] = [None] * len(run)
         shipped_indices: list[int] = []
         shipped: list[ExchangeRequest] = []
@@ -831,7 +855,7 @@ class Federation:
             expires_at = origin.env.effective_deadline(request.deadline)
             if expires_at is not None and started >= expires_at:
                 if obs.enabled:
-                    obs.inc("env.federation.expired")
+                    self._m_expired.inc()
                 results[index] = FederatedOutcome(
                     outcome=origin.env._fail(
                         REASON_DEADLINE_EXCEEDED,
@@ -851,7 +875,7 @@ class Federation:
             )
         if shipped:
             if obs.enabled:
-                obs.inc("env.federation.local", len(shipped))
+                self._m_local.inc(len(shipped))
             exchange_outcomes = origin.env.exchange_many(shipped)
             now = self.world.now
             hops = (Hop(origin.name, "local", now),)
@@ -873,7 +897,7 @@ class Federation:
     ) -> FederatedOutcome:
         obs = self._metrics
         if obs.enabled:
-            obs.inc("env.federation.exchanges")
+            self._m_exchanges.inc()
         # A batch caller passes the route it already resolved — home
         # resolution then runs once per request, not twice.
         origin = self.domain(
@@ -883,7 +907,7 @@ class Federation:
         expires_at = origin.env.effective_deadline(request.deadline)
         if expires_at is not None and self.world.now >= expires_at:
             if obs.enabled:
-                obs.inc("env.federation.expired")
+                self._m_expired.inc()
             outcome = origin.env._fail(
                 REASON_DEADLINE_EXCEEDED,
                 f"federated exchange deadline {expires_at:.3f} already passed "
@@ -899,7 +923,7 @@ class Federation:
             target_name = route[1] if route is not None else self.home_of(receiver)
         except UnknownObjectError:
             if obs.enabled:
-                obs.inc("env.federation.unknown_receiver")
+                self._m_unknown_receiver.inc()
             outcome = origin.env._fail(
                 REASON_UNKNOWN_RECEIVER,
                 f"receiver {receiver!r} has no home domain in {self.name!r}",
@@ -912,9 +936,16 @@ class Federation:
             )
         if target_name == origin.name:
             if obs.enabled:
-                obs.inc("env.federation.local")
+                self._m_local.inc()
             started = self.world.now
-            outcome = origin.env.exchange(replace(request, deadline=expires_at))
+            # Pass the caller's request through unless the federation's
+            # default deadline must be stamped on it (as the batched run
+            # does): copying it per exchange is pure overhead.
+            outcome = origin.env.exchange(
+                request
+                if request.deadline == expires_at
+                else replace(request, deadline=expires_at)
+            )
             return FederatedOutcome(
                 outcome=outcome,
                 origin=origin.name,
@@ -923,7 +954,7 @@ class Federation:
                 latency_s=self.world.now - started,
             )
         if obs.enabled:
-            obs.inc("env.federation.remote")
+            self._m_remote.inc()
         target = self.domain(target_name)
         return self._relay_exchange(origin, target, request, expires_at)
 
@@ -1026,7 +1057,7 @@ class Federation:
             via = self._pick_intermediate(origin, target)
             if via is not None:
                 if self._metrics.enabled:
-                    self._metrics.inc("env.federation.failover")
+                    self._m_failover.inc()
                 gateway = origin.gateway_to(via.name)
                 payload["final_target"] = target.name
         return gateway
@@ -1089,7 +1120,7 @@ class Federation:
             letter: DeadLetter = holder["dead_letter"]
             if letter.reason == REASON_RELAY_DEADLINE:
                 if obs.enabled:
-                    obs.inc("env.federation.expired")
+                    self._m_expired.inc()
                 outcome = origin.env._fail(
                     REASON_DEADLINE_EXCEEDED,
                     f"relay {origin.name}->{target.name} missed its deadline "
@@ -1097,7 +1128,7 @@ class Federation:
                 )
             else:
                 if obs.enabled:
-                    obs.inc("env.federation.dead_letters")
+                    self._m_dead_letters.inc()
                 outcome = origin.env._fail(
                     REASON_GATEWAY_DEAD_LETTER,
                     f"gateway {origin.name}->{target.name} unreachable after "
@@ -1119,7 +1150,7 @@ class Federation:
         attempts = holder["attempts"] + sum(h.get("attempts", 0) for h in relay_path)
         if isinstance(reply, dict) and "error" in reply:
             if obs.enabled:
-                obs.inc("env.federation.dead_letters")
+                self._m_dead_letters.inc()
             outcome = origin.env._fail(
                 REASON_GATEWAY_DEAD_LETTER,
                 f"relay {origin.name}->{target.name} failed remotely: "
@@ -1138,11 +1169,11 @@ class Federation:
             # the structured failure back instead of an outcome.
             code = reply["failed"]
             if obs.enabled:
-                obs.inc(
-                    "env.federation.expired"
+                (
+                    self._m_expired
                     if code == REASON_DEADLINE_EXCEEDED
-                    else "env.federation.dead_letters"
-                )
+                    else self._m_dead_letters
+                ).inc()
             outcome = origin.env._fail(
                 code, reply.get("detail", "forwarded relay failed")
             )
@@ -1159,9 +1190,9 @@ class Federation:
             trace_id=context.trace_id if context is not None else "",
         )
         if obs.enabled:
-            obs.observe("env.federation.relay_latency_s", now - started)
+            self._m_relay_latency.observe(now - started)
             if outcome.delivered:
-                obs.inc("env.federation.delivered")
+                self._m_delivered.inc()
         return FederatedOutcome(
             outcome=outcome,
             origin=origin.name,
@@ -1194,7 +1225,7 @@ class Federation:
 
         def local_fail(index: int, code: str, reason: str) -> None:
             if obs.enabled and code == REASON_DEADLINE_EXCEEDED:
-                obs.inc("env.federation.expired")
+                self._m_expired.inc()
             results[index] = FederatedOutcome(
                 outcome=origin.env._fail(code, reason),
                 origin=origin.name,
@@ -1231,6 +1262,11 @@ class Federation:
         base_request: ExchangeRequest | None = None
         base_document: dict[str, Any] = {}
         plans: "dict[tuple[str, str, float], dict[str, Any] | None]" = {}
+        # Consecutive requests carrying the same document object ship one
+        # copy of it, so the target's exchange_many translates and sizes
+        # it once, as it does for the same run submitted locally.
+        source: dict[str, Any] | None = None
+        payload_copy: dict[str, Any] = {}
         for _, request, expires_at in shipped:
             if base_request is not None and _same_wire_shape(request, base_request):
                 document = dict(base_document)
@@ -1238,7 +1274,10 @@ class Federation:
                 document = request.to_document()
                 base_request = request
                 base_document = dict(document)
-            document["document"] = dict(request.document)
+            if request.document is not source:
+                source = request.document
+                payload_copy = dict(source)
+            document["document"] = payload_copy
             document["deadline"] = expires_at
             plan_key = (request.sender_app, request.receiver_app, request.min_fidelity)
             try:
@@ -1272,11 +1311,11 @@ class Federation:
         def ship_fail(code: str, reason: str, attempts: int, hops: tuple) -> None:
             for index, _, _ in shipped:
                 if obs.enabled:
-                    obs.inc(
-                        "env.federation.expired"
+                    (
+                        self._m_expired
                         if code == REASON_DEADLINE_EXCEEDED
-                        else "env.federation.dead_letters"
-                    )
+                        else self._m_dead_letters
+                    ).inc()
                 results[index] = FederatedOutcome(
                     outcome=origin.env._fail(code, reason),
                     origin=origin.name,
@@ -1334,7 +1373,7 @@ class Federation:
                 trace_id=context.trace_id if context is not None else "",
             )
             if obs.enabled and outcome.delivered:
-                obs.inc("env.federation.delivered")
+                self._m_delivered.inc()
             results[index] = FederatedOutcome(
                 outcome=outcome,
                 origin=origin.name,
@@ -1344,7 +1383,7 @@ class Federation:
                 latency_s=now - started,
             )
         if obs.enabled:
-            obs.observe("env.federation.relay_latency_s", now - started)
+            self._m_relay_latency.observe(now - started)
         return [result for result in results if result is not None]
 
     def _pick_intermediate(self, origin: Domain, target: Domain) -> Domain | None:
@@ -1382,7 +1421,7 @@ class Federation:
         relay_id = payload.get("relay_id")
         if relay_id is not None and relay_id in domain.relay_seen:
             if self._metrics.enabled:
-                self._metrics.inc("gateway.deduplicated")
+                self._m_deduplicated.inc()
             return domain.relay_seen[relay_id]
         final = payload.get("final_target")
         if final is not None and final != domain.name:
@@ -1396,12 +1435,12 @@ class Federation:
                 for document in payload["requests"]
             ]
             if self._metrics.enabled:
-                self._metrics.inc("gateway.inbound", len(requests))
+                self._m_inbound.inc(len(requests))
                 mediated = sum(
                     1 for document in payload["requests"] if "mediation" in document
                 )
                 if mediated:
-                    self._metrics.inc("mediation.plan.relayed", mediated)
+                    self._m_plan_relayed.inc(mediated)
             with self._trace.span_from_context(
                 "federation.relay",
                 TraceContext.from_document(payload.get(TRACE_KEY)),
@@ -1421,9 +1460,9 @@ class Federation:
         request = ExchangeRequest.from_document(payload)
         mediation = payload.get("mediation")
         if self._metrics.enabled:
-            self._metrics.inc("gateway.inbound")
+            self._m_inbound.inc()
             if mediation is not None:
-                self._metrics.inc("mediation.plan.relayed")
+                self._m_plan_relayed.inc()
         # Continue the trace the payload carries: the target pipeline's
         # env.exchange span nests under this one, so the outcome's
         # trace_id is the origin's — the receiving half of propagation.
@@ -1454,7 +1493,7 @@ class Federation:
         """Forward a failover relay from intermediate *domain* to *final*."""
         obs = self._metrics
         if obs.enabled:
-            obs.inc("env.federation.forwarded")
+            self._m_forwarded.inc()
         deferred = DeferredReply()
         relay_id = payload.get("relay_id")
         forwarded_at = self.world.now

@@ -187,11 +187,19 @@ class Gateway:
         recorded per link through ``(source, target)``-labelled families
         (``gateway.relays{source=..,target=..}`` etc.), so one registry
         attributes traffic across every directed gateway of a
-        federation; the per-link child handles are resolved once here,
-        not per relay.
+        federation; the flat counters and per-link child handles are
+        resolved once here, not per relay.
         """
         self._obs = metrics if metrics is not None else NULL_METRICS
         obs, link = self._obs, {"source": self.source, "target": self.target}
+        self._m_relays_total = obs.counter("gateway.relays")
+        self._m_delivered_total = obs.counter("gateway.delivered")
+        self._m_retries_total = obs.counter("gateway.retries")
+        self._m_dead_letters_total = obs.counter("gateway.dead_letters")
+        self._m_expired_total = obs.counter("gateway.expired")
+        self._m_fast_failed = obs.counter("gateway.fast_failed")
+        self._m_duplicate_replies = obs.counter("gateway.duplicate_replies")
+        self._m_latency_total = obs.histogram("gateway.latency_s", buckets=LATENCY_BUCKETS)
         self._m_relays = obs.counter("gateway.relays", labels=("source", "target")).labels(**link)
         self._m_delivered = obs.counter("gateway.delivered", labels=("source", "target")).labels(**link)
         self._m_retries = obs.counter("gateway.retries", labels=("source", "target")).labels(**link)
@@ -272,7 +280,7 @@ class Gateway:
         self.relays += 1
         self.in_flight += 1
         if self._obs.enabled:
-            self._obs.inc("gateway.relays")
+            self._m_relays_total.inc()
             self._m_relays.inc()
         payload.setdefault("relay_id", self._ids.next(f"relay:{self.source}>{self.target}"))
         state = _Relay(payload, on_reply, on_dead_letter, deadline)
@@ -308,7 +316,7 @@ class Gateway:
         if self.breaker is not None and not self.breaker.allow():
             self.fast_failed += 1
             if self._obs.enabled:
-                self._obs.inc("gateway.fast_failed")
+                self._m_fast_failed.inc()
             self._settle_parked(state, REASON_RELAY_CIRCUIT_OPEN)
             return
         state.park_at = now + self._budget_s()
@@ -372,7 +380,7 @@ class Gateway:
             return
         self.retries += 1
         if self._obs.enabled:
-            self._obs.inc("gateway.retries")
+            self._m_retries_total.inc()
             self._m_retries.inc()
         self._note_failure()
         self._launch(state)
@@ -398,7 +406,7 @@ class Gateway:
         if state.settled:
             self.duplicate_replies += 1
             if self._obs.enabled:
-                self._obs.inc("gateway.duplicate_replies")
+                self._m_duplicate_replies.inc()
             return
         state.settled = True
         self._cancel_timers(state)
@@ -407,10 +415,10 @@ class Gateway:
         if self.breaker is not None:
             self.breaker.record_success()
         if self._obs.enabled:
-            self._obs.inc("gateway.delivered")
+            self._m_delivered_total.inc()
             self._m_delivered.inc()
             latency = self._engine.now - sent_at
-            self._obs.observe("gateway.latency_s", latency, buckets=LATENCY_BUCKETS)
+            self._m_latency_total.observe(latency)
             self._m_latency.observe(latency)
         self._close_span(state, "delivered")
         state.on_reply(reply, state.attempts)
@@ -432,7 +440,7 @@ class Gateway:
         self.in_flight -= 1
         self.expired += 1
         if self._obs.enabled:
-            self._obs.inc("gateway.expired")
+            self._m_expired_total.inc()
             self._m_expired.inc()
         self._close_span(state, REASON_RELAY_DEADLINE)
         if self._events.enabled:
@@ -480,7 +488,7 @@ class Gateway:
         )
         self.dead_letters.append(letter)
         if self._obs.enabled:
-            self._obs.inc("gateway.dead_letters")
+            self._m_dead_letters_total.inc()
             self._m_dead_letters.inc()
         if state.on_dead_letter is not None:
             state.on_dead_letter(letter)

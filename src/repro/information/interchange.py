@@ -104,7 +104,7 @@ class InterchangeService:
     def __init__(self) -> None:
         self._converters: dict[str, FormatConverter] = {}
         self._plans: dict[tuple[str, str], _TranslationPlan] = {}
-        self._obs: MetricsRegistry = NULL_METRICS
+        self.attach_metrics(None)
         self.translations = 0
         self.failures = 0
         self.plan_hits = 0
@@ -113,8 +113,13 @@ class InterchangeService:
         self.identities = 0
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report plan-cache activity to *metrics* (``None`` detaches)."""
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        """Report plan-cache activity to *metrics* (``None`` detaches);
+        the counters are resolved here, once."""
+        self._obs = obs = metrics if metrics is not None else NULL_METRICS
+        self._m_plan_hit = obs.counter("interchange.plan.hit")
+        self._m_plan_miss = obs.counter("interchange.plan.miss")
+        self._m_plan_evicted = obs.counter("interchange.plan.evicted")
+        self._m_identity = obs.counter("interchange.identity")
 
     def register(self, converter: FormatConverter, replace: bool = False) -> None:
         """Register an application format (one per format name).
@@ -136,7 +141,7 @@ class InterchangeService:
         if affected:
             self.plan_evictions += len(affected)
             if self._obs.enabled:
-                self._obs.inc("interchange.plan.evicted", len(affected))
+                self._m_plan_evicted.inc(len(affected))
 
     def formats(self) -> list[str]:
         """All registered format names, sorted."""
@@ -177,7 +182,7 @@ class InterchangeService:
             self.translations += 1
             self.identities += 1
             if self._obs.enabled:
-                self._obs.inc("interchange.identity")
+                self._m_identity.inc()
             # deep copy, like every converting path: the receiver must
             # never alias (or mutate) the sender's nested structures
             return TranslationResult(
@@ -187,7 +192,7 @@ class InterchangeService:
         if plan is None:
             self.plan_misses += 1
             if self._obs.enabled:
-                self._obs.inc("interchange.plan.miss")
+                self._m_plan_miss.inc()
             source = self._converter(source_format)
             target = self._converter(target_format)
             plan = self._plans[(source_format, target_format)] = _TranslationPlan(
@@ -196,7 +201,7 @@ class InterchangeService:
         else:
             self.plan_hits += 1
             if self._obs.enabled:
-                self._obs.inc("interchange.plan.hit")
+                self._m_plan_hit.inc()
         common = plan.source.to_common(document)
         if not plan.validated:
             if not is_common(common):

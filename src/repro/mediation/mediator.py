@@ -46,6 +46,7 @@ from repro.mediation.capability import (
     ConversionCapability,
     capabilities_from_converter,
 )
+from repro.obs.instrument import FIDELITY_BUCKETS
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.odp.objects import InterfaceRef
@@ -114,7 +115,7 @@ class Mediator:
         #: source format -> outgoing edges, rebuilt lazily from the trader
         self._edges: dict[str, list[ConversionCapability]] = {}
         self._graph_stale = True
-        self._obs: MetricsRegistry = NULL_METRICS
+        self.attach_metrics(None)
         self._tracer: Tracer = NULL_TRACER
         self.publishes = 0
         self.withdrawals = 0
@@ -134,8 +135,19 @@ class Mediator:
 
     # -- observability -----------------------------------------------------
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report mediation activity to *metrics* (``None`` detaches)."""
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        """Report mediation activity to *metrics* (``None`` detaches);
+        the instruments are resolved here, once."""
+        self._obs = obs = metrics if metrics is not None else NULL_METRICS
+        self._m_published = obs.counter("mediation.capability.published")
+        self._m_withdrawn = obs.counter("mediation.capability.withdrawn")
+        self._m_plan_hit = obs.counter("mediation.plan.hit")
+        self._m_plan_synthesized = obs.counter("mediation.plan.synthesized")
+        self._m_plan_evicted = obs.counter("mediation.plan.evicted")
+        self._m_rejected = obs.counter("mediation.negotiation.rejected")
+        self._m_downgraded = obs.counter("mediation.negotiation.downgraded")
+        self._m_identity = obs.counter("mediation.identity")
+        self._m_translations = obs.counter("mediation.translations")
+        self._m_fidelity = obs.histogram("mediation.fidelity", buckets=FIDELITY_BUCKETS)
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Trace plan execution (one span per translate, one per hop)."""
@@ -164,7 +176,7 @@ class Mediator:
         self._graph_stale = True
         self.publishes += 1
         if self._obs.enabled:
-            self._obs.inc("mediation.capability.published")
+            self._m_published.inc()
         removed = self._evict_tag(f"e:{capability.source}")
         removed += self._evict_tag(f"e:{capability.target}")
         self._note_event(removed)
@@ -201,7 +213,7 @@ class Mediator:
         self._graph_stale = True
         self.withdrawals += 1
         if self._obs.enabled:
-            self._obs.inc("mediation.capability.withdrawn")
+            self._m_withdrawn.inc()
         self._note_event(self._evict_tag(f"c:{capability_id}"))
 
     def capability(self, capability_id: str) -> ConversionCapability:
@@ -295,12 +307,12 @@ class Mediator:
         if cached is not None:
             self.plan_hits += 1
             if self._obs.enabled:
-                self._obs.inc("mediation.plan.hit")
+                self._m_plan_hit.inc()
             return cached
         plan = self._synthesize(source, target)
         self.plans_synthesized += 1
         if self._obs.enabled:
-            self._obs.inc("mediation.plan.synthesized")
+            self._m_plan_synthesized.inc()
         self._store_plan(key, plan)
         return plan
 
@@ -362,7 +374,7 @@ class Mediator:
         if plan.fidelity < min_fidelity:
             self.fidelity_rejections += 1
             if self._obs.enabled:
-                self._obs.inc("mediation.negotiation.rejected")
+                self._m_rejected.inc()
             raise FidelityError(
                 f"best plan {source!r} -> {target!r} keeps fidelity "
                 f"{plan.fidelity:.3f}, below the requested floor "
@@ -373,7 +385,7 @@ class Mediator:
         if plan.fidelity < 1.0:
             self.negotiated_downgrades += 1
             if self._obs.enabled:
-                self._obs.inc("mediation.negotiation.downgraded")
+                self._m_downgraded.inc()
         return plan
 
     # -- execution ---------------------------------------------------------
@@ -395,7 +407,7 @@ class Mediator:
             self.translations += 1
             self.identities += 1
             if self._obs.enabled:
-                self._obs.inc("mediation.identity")
+                self._m_identity.inc()
             return TranslationResult(
                 copy.deepcopy(document), source_format, target_format, 1.0, 0
             )
@@ -418,8 +430,8 @@ class Mediator:
                     payload = capability.convert(payload)
         self.translations += 1
         if self._obs.enabled:
-            self._obs.inc("mediation.translations")
-            self._obs.observe("mediation.fidelity", plan.fidelity)
+            self._m_translations.inc()
+            self._m_fidelity.observe(plan.fidelity)
         return TranslationResult(
             document=payload,
             source_format=source_format,
@@ -462,7 +474,7 @@ class Mediator:
             self.plan_evictions += removed
             self.invalidations += 1
             if self._obs.enabled:
-                self._obs.inc("mediation.plan.evicted", removed)
+                self._m_plan_evicted.inc(removed)
 
     def invalidate_all(self) -> None:
         """Drop every cached plan (explicit operator control only —

@@ -104,7 +104,8 @@ class EventLog:
         self.capacity = capacity
         self._events: deque[Event] = deque(maxlen=capacity)
         self.recorded = 0
-        self._metrics: Any = None
+        #: the bound ``obs.events.dropped`` counter (None = not metered)
+        self._dropped_counter: Any = None
 
     def attach_metrics(self, metrics: Any) -> "EventLog":
         """Surface ring-buffer evictions as the ``obs.events.dropped``
@@ -115,7 +116,11 @@ class EventLog:
         same signal next to every other health metric, where SLOs and
         dashboards can see a ring sized too small for the run.
         """
-        self._metrics = metrics if metrics is not None and metrics.enabled else None
+        self._dropped_counter = (
+            metrics.counter("obs.events.dropped")
+            if metrics is not None and metrics.enabled
+            else None
+        )
         return self
 
     @property
@@ -128,8 +133,8 @@ class EventLog:
     ) -> None:
         """Append one event (evicting the oldest at capacity)."""
         events = self._events
-        if self._metrics is not None and len(events) == self.capacity:
-            self._metrics.inc("obs.events.dropped")
+        if self._dropped_counter is not None and len(events) == self.capacity:
+            self._dropped_counter.inc()
         events.append(Event(time=time, kind=kind, trace_id=trace_id, attrs=attrs))
         self.recorded += 1
 
@@ -165,8 +170,8 @@ class EventLog:
         """Append pre-built events (merging logs in analysis scripts)."""
         ring = self._events
         for event in events:
-            if self._metrics is not None and len(ring) == self.capacity:
-                self._metrics.inc("obs.events.dropped")
+            if self._dropped_counter is not None and len(ring) == self.capacity:
+                self._dropped_counter.inc()
             ring.append(event)
             self.recorded += 1
 

@@ -16,9 +16,12 @@ layer                     instruments
                           ``mta.non_delivery.<reason>`` counters,
                           ``mta.hops`` histogram
 ``environment.exchange``  ``env.exchange.attempted``,
-                          ``env.exchange.outcome.<delivered|failed>``,
-                          ``env.exchange.reason.<code>``,
                           ``env.exchange.transparency.<dimension>`` counters,
+                          ``env.exchange.outcomes{domain,outcome}`` /
+                          ``env.exchange.reasons{domain,reason}`` families
+                          (the flat ``env.exchange.outcome.<outcome>`` /
+                          ``env.exchange.reason.<code>`` totals are derived
+                          from them, summed over ``domain``),
                           ``env.exchange.document_bytes`` histogram
 ``environment.resolution``  ``env.cache.route.<hit|miss>``,
                           ``env.cache.formats.<hit|miss>``,
@@ -36,7 +39,9 @@ Each ``instrument_*`` function is idempotent, returns its target, and is
 pure wiring: the recording calls live inside the layers themselves,
 guarded by ``registry.enabled`` so the default
 :data:`~repro.obs.metrics.NULL_METRICS` keeps the hot paths at a single
-attribute check.  The functions duck-type their targets (anything with
+attribute check.  Each layer resolves its instruments once, when
+metrics are attached, so recording is a direct ``counter.inc()`` with no
+lookup by metric name.  The functions duck-type their targets (anything with
 the layer's ``attach_metrics`` method works), so this module imports
 nothing from the rest of the library and can never create an import
 cycle.
@@ -101,8 +106,6 @@ def instrument_engine(engine: Any, metrics: MetricsRegistry) -> Any:
 
 def instrument_event_bus(bus: Any, metrics: MetricsRegistry) -> Any:
     """Attach *metrics* to a :class:`repro.util.events.EventBus`."""
-    if metrics.enabled:
-        metrics.histogram("events.fanout", buckets=COUNT_BUCKETS)
     bus.attach_metrics(metrics)
     return bus
 
@@ -142,7 +145,7 @@ def instrument_environment(
     """
     if metrics is not None:
         environment.metrics = metrics
-        binder = getattr(environment, "_bind_labelled_metrics", None)
+        binder = getattr(environment, "_bind_metrics", None)
         if binder is not None:
             binder()
         instrument_engine(environment.world.engine, metrics)
@@ -164,11 +167,7 @@ def instrument_environment(
             interchange.attach_metrics(metrics)
         mediator = getattr(environment, "mediator", None)
         if mediator is not None:
-            if metrics.enabled:
-                metrics.histogram("mediation.fidelity", buckets=FIDELITY_BUCKETS)
             mediator.attach_metrics(metrics)
-        if metrics.enabled:
-            metrics.histogram("env.exchange.document_bytes", buckets=BYTES_BUCKETS)
     if tracer is not None:
         environment.tracer = tracer
         if tracer.enabled and not tracer.wall:

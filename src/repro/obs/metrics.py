@@ -16,6 +16,13 @@ Instruments come in two shapes:
   ad-hoc name suffixes, and snapshots stay deterministic because child
   names render as ``name{k=v,...}`` and sort with everything else.
 
+A family can also *derive* flat totals: after
+``registry.derive_totals("env.exchange.outcomes", "outcome",
+"env.exchange.outcome.")`` the snapshot carries
+``env.exchange.outcome.<value>`` counters summing the family's children
+over every other label.  The count is booked once, in the family, and
+the flat view costs nothing until someone reads it.
+
 Families enforce a hard cardinality cap: once a family holds
 :data:`CARDINALITY_LIMIT` children, novel label sets collapse into a
 shared ``__other__`` child and bump the registry-level
@@ -40,6 +47,9 @@ collection on.
 >>> family.labels(domain="d0").inc()
 1
 >>> registry.snapshot()["counters"]["delivered{domain=d0}"]
+1
+>>> registry.derive_totals("delivered", "domain", "delivered.total.")
+>>> registry.count("delivered.total.d0")
 1
 >>> NULL_METRICS.enabled
 False
@@ -358,6 +368,8 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._families: dict[str, _Family] = {}
+        #: (family name, label, flat-name prefix) of every derived view
+        self._derived: set[tuple[str, str, str]] = set()
 
     # -- instrument access (get-or-create) --------------------------------
     def counter(
@@ -456,6 +468,54 @@ class MetricsRegistry:
             for name, family in sorted(self._families.items())
         }
 
+    def derive_totals(self, family: str, by: str, prefix: str) -> None:
+        """Export counter family *family* as flat ``prefix + <by value>``
+        totals, each summing the children that share that *by* label
+        value (idempotent).
+
+        The totals are read-time views: :meth:`snapshot`,
+        :meth:`render_text` and :meth:`count` compute them from the
+        family, so recording pays for one increment only.  A derived
+        total adds to a same-named flat counter if one exists.
+        """
+        self._derived.add((family, by, prefix))
+
+    def _derived_counts(self, only: str = "") -> dict[str, int]:
+        """Derived flat totals, computed from their families now; with
+        *only*, just from the derivations that can produce that name."""
+        totals: dict[str, int] = {}
+        for family_name, by, prefix in self._derived:
+            if only and not only.startswith(prefix):
+                continue
+            family = self._families.get(family_name)
+            if not isinstance(family, CounterFamily):
+                continue
+            position = family.label_names.index(by)
+            children = list(family._children.items())
+            if family._overflow is not None:
+                children.append(((OVERFLOW_LABEL,) * len(family.label_names), family._overflow))
+            for key, child in children:
+                total_name = prefix + key[position]
+                totals[total_name] = totals.get(total_name, 0) + child.value
+        return totals
+
+    def _counter_values(self) -> dict[str, int]:
+        """Flat counters plus derived totals, sorted by name."""
+        values = {name: c.value for name, c in self._counters.items()}
+        if self._derived:
+            for name, total in self._derived_counts().items():
+                values[name] = values.get(name, 0) + total
+        return dict(sorted(values.items()))
+
+    def count(self, name: str) -> int:
+        """The current value of counter *name*, derived totals included
+        (0 when nothing by that name has been recorded)."""
+        counter_ = self._counters.get(name)
+        value = counter_.value if counter_ is not None else 0
+        if self._derived:
+            value += self._derived_counts(name).get(name, 0)
+        return value
+
     # -- recording shorthands ---------------------------------------------
     def inc(self, name: str, amount: int = 1) -> int:
         """Increment counter *name*; return its new value."""
@@ -473,7 +533,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able dict of every instrument's current state."""
         return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
+            "counters": self._counter_values(),
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
                 name: h.snapshot() for name, h in sorted(self._histograms.items())
@@ -489,8 +549,8 @@ class MetricsRegistry:
         counter a.b 1
         """
         lines: list[str] = []
-        for name, counter_ in sorted(self._counters.items()):
-            lines.append(f"counter {name} {counter_.value}")
+        for name, value in self._counter_values().items():
+            lines.append(f"counter {name} {value}")
         for name, gauge_ in sorted(self._gauges.items()):
             lines.append(f"gauge {name} {gauge_.value:g}")
         for name, histogram_ in sorted(self._histograms.items()):
@@ -630,6 +690,9 @@ class NullMetricsRegistry(MetricsRegistry):
     def inc(self, name: str, amount: int = 1) -> int:
         """Discard the increment."""
         return 0
+
+    def derive_totals(self, family: str, by: str, prefix: str) -> None:
+        """The null registry holds no families to derive from."""
 
     def set_gauge(self, name: str, value: float) -> None:
         """Discard the update."""

@@ -277,8 +277,8 @@ class SLOEngine:
     def _read(self, objective: _Objective) -> Any:
         if isinstance(objective, _RatioObjective):
             return (
-                self._metrics.counter(objective.good).value,
-                self._metrics.counter(objective.total).value,
+                self._metrics.count(objective.good),
+                self._metrics.count(objective.total),
             )
         assert isinstance(objective, _LatencyObjective)
         histogram = self._metrics.histogram(objective.histogram)

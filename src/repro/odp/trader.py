@@ -133,7 +133,7 @@ class Trader:
         self.exports = 0
         self.imports = 0
         self.policy_rejections = 0
-        self._obs: MetricsRegistry = NULL_METRICS
+        self.attach_metrics(None)
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Report trading activity to *metrics* (``None`` detaches).
@@ -141,8 +141,15 @@ class Trader:
         Counters ``trader.exports``/``imports``/``offer_scans``/
         ``link_hops``/``no_offer``/``policy_rejections``; the counts are
         per-trader, so federated traders each need their own attach.
+        The counters are resolved here, once.
         """
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        self._obs = obs = metrics if metrics is not None else NULL_METRICS
+        self._m_exports = obs.counter("trader.exports")
+        self._m_imports = obs.counter("trader.imports")
+        self._m_offer_scans = obs.counter("trader.offer_scans")
+        self._m_link_hops = obs.counter("trader.link_hops")
+        self._m_no_offer = obs.counter("trader.no_offer")
+        self._m_policy_rejections = obs.counter("trader.policy_rejections")
 
     # -- service types ------------------------------------------------------
     def register_service_type(self, service_type: str, parent: str | None = None) -> None:
@@ -172,7 +179,7 @@ class Trader:
             if not hook(offer, context):
                 self.policy_rejections += 1
                 if self._obs.enabled:
-                    self._obs.inc("trader.policy_rejections")
+                    self._m_policy_rejections.inc()
                 return False
         return True
 
@@ -197,7 +204,7 @@ class Trader:
         self._offers[offer.offer_id] = offer
         self.exports += 1
         if self._obs.enabled:
-            self._obs.inc("trader.exports")
+            self._m_exports.inc()
         return offer
 
     def withdraw(self, offer_id: str) -> None:
@@ -274,14 +281,14 @@ class Trader:
             raise TradingError("max_offers must be >= 1")
         self.imports += 1
         if self._obs.enabled:
-            self._obs.inc("trader.imports")
+            self._m_imports.inc()
         ctx = context if context is not None else ImportContext()
         matched = self._match_local(service_type, constraints or [], ctx)
         if not matched and search_links:
             matched = self._match_linked(service_type, constraints or [], ctx)
         if not matched:
             if self._obs.enabled:
-                self._obs.inc("trader.no_offer")
+                self._m_no_offer.inc()
             raise NoOfferError(
                 f"trader {self.name!r}: no offer for {service_type!r} satisfies the request"
             )
@@ -303,7 +310,7 @@ class Trader:
     ) -> list[ServiceOffer]:
         result = []
         if self._obs.enabled:
-            self._obs.inc("trader.offer_scans", len(self._offers))
+            self._m_offer_scans.inc(len(self._offers))
         for offer in self._offers.values():
             if not self.conforms_to(offer.service_type, service_type):
                 continue
@@ -321,7 +328,7 @@ class Trader:
         for name in sorted(self._links):
             other = self._links[name]
             if self._obs.enabled:
-                self._obs.inc("trader.link_hops")
+                self._m_link_hops.inc()
             try:
                 return other.import_(
                     service_type,

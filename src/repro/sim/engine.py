@@ -104,12 +104,13 @@ class Engine:
         obs = self._obs
         self._scheduled_counter = obs.counter("sim.engine.scheduled")
         self._fired_counter = obs.counter("sim.engine.fired")
+        self._cancelled_counter = obs.counter("sim.engine.cancelled")
         self._depth_gauge = obs.gauge("sim.engine.queue_depth")
 
     def _note_cancel(self) -> None:
         self._cancelled_pending += 1
         if self._obs.enabled:
-            self._obs.inc("sim.engine.cancelled")
+            self._cancelled_counter.inc()
         queue = self._queue
         if (
             self._cancelled_pending > _COMPACT_THRESHOLD

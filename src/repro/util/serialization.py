@@ -75,21 +75,28 @@ class CodecRegistry:
         return decode(body)
 
 
+#: the one canonical encoder; ``json.dumps`` with these options would
+#: build a fresh encoder on every call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
 def canonical_json(document: Any) -> str:
     """Render a document as canonical JSON (sorted keys, no whitespace).
 
     Two documents are structurally equal iff their canonical JSON matches.
     """
-    return json.dumps(document, sort_keys=True, separators=(",", ":"), default=str)
+    return _CANONICAL_ENCODER.encode(document)
 
 
 def document_size(document: Any) -> int:
     """Size in bytes of the canonical JSON encoding of *document*.
 
     Used by the simulated network and the messaging substrate to charge
-    transmission time proportional to payload size.
+    transmission time proportional to payload size.  The encoding
+    escapes every non-ASCII character (``ensure_ascii``), so its length
+    in characters is its UTF-8 length in bytes.
     """
-    return len(canonical_json(document).encode("utf-8"))
+    return len(_CANONICAL_ENCODER.encode(document))
 
 
 def deep_merge(base: dict[str, Any], overlay: dict[str, Any]) -> dict[str, Any]:

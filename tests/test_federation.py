@@ -533,6 +533,27 @@ class TestBatchedFastPath:
         counters = registry.snapshot()["counters"]
         assert counters["env.federation.local"] == 6
 
+    def test_cross_run_ships_a_shared_document_once(self, world):
+        """A cross-domain run repeating one document object translates it
+        once at the target, as the same run submitted locally would, and
+        decides every item exactly as the per-request path does."""
+        from repro.environment.environment import ExchangeRequest
+
+        federation, inboxes = make_federation(world)
+        target = federation.domain("gmd").env.interchange
+        run = [ExchangeRequest("ana", "bob", "app0", "app1", DOC) for _ in range(4)]
+        baseline = [federation.federated_exchange(request) for request in run[:1]]
+        before = target.translations
+        outcomes = federation.federated_exchange_many(run)
+        assert target.translations - before == 1
+        assert federation.domain("upc").gateway_to("gmd").relays == 2
+        assert [outcome_fields(o.outcome) for o in outcomes] == [
+            outcome_fields(baseline[0].outcome)
+        ] * 4
+        assert [doc for _, doc in inboxes["app1"]] == [
+            {"fmt1-title": "minutes", "fmt1-body": "agenda"}
+        ] * 5
+
     def test_move_person_mid_batch_reroutes_remainder(self, world):
         """A delivery callback that re-homes the receiver mid-run: the
         hoisted routes are not served stale — the rest of the run

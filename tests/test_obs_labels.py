@@ -128,6 +128,42 @@ class TestCardinalityCap:
         assert report["a"] == 1
 
 
+class TestDerivedTotals:
+    def test_totals_sum_the_other_labels(self, registry):
+        family = registry.counter("outcomes", labels=("domain", "outcome"))
+        registry.derive_totals("outcomes", "outcome", "outcome.")
+        family.labels(domain="d0", outcome="delivered").inc(2)
+        family.labels(domain="d1", outcome="delivered").inc(3)
+        family.labels(domain="d1", outcome="failed").inc()
+        counters = registry.snapshot()["counters"]
+        assert counters["outcome.delivered"] == 5
+        assert counters["outcome.failed"] == 1
+        assert registry.count("outcome.delivered") == 5
+        assert "counter outcome.failed 1" in registry.render_text().splitlines()
+
+    def test_overflow_child_gets_its_own_total(self, registry):
+        family = registry.counter("reasons", labels=("reason",), limit=1)
+        registry.derive_totals("reasons", "reason", "reason.")
+        family.labels(reason="policy").inc()
+        family.labels(reason="fidelity").inc(4)
+        counters = registry.snapshot()["counters"]
+        assert counters["reason.policy"] == 1
+        assert counters[f"reason.{OVERFLOW_LABEL}"] == 4
+
+    def test_total_adds_to_a_same_named_flat_counter(self, registry):
+        registry.derive_totals("outcomes", "outcome", "outcome.")
+        registry.counter("outcomes", labels=("outcome",)).labels(outcome="failed").inc()
+        registry.inc("outcome.failed", 2)
+        assert registry.snapshot()["counters"]["outcome.failed"] == 3
+        assert registry.count("outcome.failed") == 3
+        assert registry.count("never.recorded") == 0
+
+    def test_null_registry_derives_nothing(self):
+        NULL_METRICS.derive_totals("outcomes", "outcome", "outcome.")
+        assert NULL_METRICS.snapshot()["counters"] == {}
+        assert NULL_METRICS.count("outcome.delivered") == 0
+
+
 class TestNullFamilies:
     def test_null_registry_hands_out_noop_families(self):
         family = NULL_METRICS.counter("f", labels=("k",))

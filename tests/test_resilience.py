@@ -11,6 +11,8 @@ queueing without bound.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.communication.model import Communicator
@@ -19,6 +21,7 @@ from repro.environment.environment import (
     REASON_DELIVERED,
     REASON_OVERLOAD,
     CSCWEnvironment,
+    ExchangeRequest,
 )
 from repro.environment.registry import (
     AppDescriptor,
@@ -401,6 +404,74 @@ class TestDeadlinePropagation:
             "p-upc", "p-gmd", "app0", "app0", DOC, deadline=world.now + 50.0
         )
         assert seen["deadline"] == pytest.approx(50.0)
+
+    def spy_on_env(self, federation, domain):
+        """Record every request the domain's env.exchange receives."""
+        env = federation.domain(domain).env
+        seen: list = []
+        original = env.exchange
+
+        def spy(request, *args, **kwargs):
+            seen.append(request)
+            return original(request, *args, **kwargs)
+
+        env.exchange = spy
+        return seen
+
+    def test_intra_default_deadline_stamped_at_env(self, world):
+        federation = Federation.partition(
+            world, {"upc": ["ana", "joan"], "gmd": ["bob"]}, default_deadline_s=5.0
+        )
+        federation.register_application(
+            AppDescriptor(name="app0", quadrants=QUAD, converter=converter()),
+            lambda person, doc, info: None,
+        )
+        seen = self.spy_on_env(federation, "upc")
+        world.run_for(2.0)
+        request = ExchangeRequest("ana", "joan", "app0", "app0", DOC)
+        outcome = federation.federated_exchange(request)
+        assert outcome.delivered and not outcome.cross_domain
+        [received] = seen
+        assert received.deadline == pytest.approx(world.now + 5.0)
+        assert request.deadline is None  # the caller's request is untouched
+
+    def test_intra_expired_request_still_fails(self, world):
+        federation = Federation.partition(
+            world, {"upc": ["ana", "joan"], "gmd": ["bob"]}, default_deadline_s=5.0
+        )
+        world.run_for(5.0)
+        outcome = federation.federated_exchange(
+            ExchangeRequest("ana", "joan", "app0", "app0", DOC, deadline=1.0)
+        )
+        assert not outcome.delivered
+        assert outcome.reason_code == REASON_DEADLINE_EXCEEDED
+
+    @pytest.mark.parametrize("deadline", [None, 50.0])
+    def test_intra_request_passes_through_field_identical(self, deadline):
+        """Without a default to stamp, the env gets the caller's request
+        itself, and the outcome matches a copied request's field for field."""
+
+        def run(copy: bool):
+            world = World(seed=5)
+            federation = Federation.partition(
+                world, {"upc": ["ana", "joan"], "gmd": ["bob"]}
+            )
+            federation.register_application(
+                AppDescriptor(name="app0", quadrants=QUAD, converter=converter()),
+                lambda person, doc, info: None,
+            )
+            seen = self.spy_on_env(federation, "upc")
+            request = ExchangeRequest("ana", "joan", "app0", "app0", DOC, deadline=deadline)
+            if copy:
+                outcome = federation.domain("upc").env.exchange(replace(request))
+            else:
+                outcome = federation.federated_exchange(request).outcome
+            return request, seen, outcome
+
+        request, seen, passed = run(copy=False)
+        assert seen == [request] and seen[0] is request
+        _, _, copied = run(copy=True)
+        assert passed == copied
 
     def test_local_deadline_in_plain_exchange(self, world):
         env = CSCWEnvironment(world)

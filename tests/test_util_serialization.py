@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import (
@@ -84,3 +87,48 @@ class TestDocumentHelpers:
         base = {"a": {"b": 1}}
         deep_merge(base, {"a": {"b": 2}})
         assert base == {"a": {"b": 1}}
+
+
+class _Opaque:
+    """A non-JSON value; the canonical form falls back to ``str()``."""
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+
+    def __str__(self) -> str:
+        return f"opaque<{self.tag}>"
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(),  # includes non-ASCII and surrogate-free astral characters
+    st.text().map(_Opaque),
+)
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalEncoderParity:
+    """The reused module-level encoder renders exactly what a fresh
+    ``json.dumps`` with the canonical options renders."""
+
+    @given(st.dictionaries(st.text(max_size=8), _documents, max_size=5))
+    @settings(max_examples=200)
+    def test_matches_json_dumps(self, document):
+        expected = json.dumps(document, sort_keys=True, separators=(",", ":"), default=str)
+        assert canonical_json(document) == expected
+        assert document_size(document) == len(expected.encode("utf-8"))
+
+    def test_non_ascii_size_counts_escaped_bytes(self):
+        document = {"title": "Zürich — 東京 🎉"}
+        expected = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert document_size(document) == len(expected.encode("utf-8"))
