@@ -8,9 +8,9 @@ across N DSAs, O(1) person->org resolution) and drives a mutation storm
 against a warm cache, asserting the two scale properties the fix claims:
 
 * **invalidations are O(1) in affected keys** — a mutation evicts only
-  the routes touching the mutated entity (<= 2 here), independent of
-  population size and of how many routes are cached; unrelated churn
-  evicts nothing;
+  what was derived from the mutated entity (a moved participant's
+  memoised organisation here), independent of population size and of
+  how many routes are cached; unrelated churn evicts nothing;
 * **warm exchange latency is sub-linear in population** — the per-user
   cost of the shared mediator must not grow with registered users (the
   base KB's linear ``find_person`` scan made cold resolution O(people)).
@@ -54,7 +54,7 @@ PAIRS = 32
 #: KB mutations fired against the warm cache per sweep point
 MUTATIONS = 64
 #: every k-th mutation moves a route participant (the only mutations
-#: that *should* evict anything: their <= 2 cached routes)
+#: that *should* evict anything: their memoised organisation)
 PARTICIPANT_EVERY = 8
 
 
@@ -137,7 +137,7 @@ def run_point(population: int, warm_iterations: int) -> dict:
     participant_moves = 0
     for index in range(MUTATIONS):
         if index % PARTICIPANT_EVERY == 0:
-            # a route participant changes org: their <= 2 routes must go
+            # a route participant changes org: their memoised org must go
             mover = f"u{(participant_moves + 1) % bound}"
             target_org = f"org{(participant_moves + 2) % min(bound, PAIRS + 2)}"
             if kb.organisation_of(mover) != target_org:
@@ -158,7 +158,7 @@ def run_point(population: int, warm_iterations: int) -> dict:
     events = stats_after["invalidations"] - stats_before["invalidations"]
     routes_surviving = stats_after["routes_cached"]
 
-    # keyed invalidation: only participant moves evict, <= 2 routes each
+    # keyed invalidation: only participant moves evict, a bounded few each
     assert evicted <= 2 * participant_moves, (
         f"{evicted} evictions for {participant_moves} participant moves"
     )

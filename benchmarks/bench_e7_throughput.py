@@ -37,8 +37,10 @@ on every check without depending on machine speed.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import fields
@@ -52,6 +54,12 @@ from repro.sim.world import World
 #: organisations in the workload — org resolution scans these linearly,
 #: so the cold path pays the realistic many-org mediation cost
 N_ORGS = 48
+
+#: timed repeats per configuration in full mode (the median is reported)
+REPEATS = 5
+
+#: the timed configurations, in the order each repeat runs them
+CONFIGURATIONS = ("cold", "warm", "batch", "distinct")
 
 #: tiny document so the measurement isolates mediation overhead, not JSON
 DOCUMENT = {"fmt0-title": "minutes", "fmt0-body": "we met"}
@@ -96,65 +104,73 @@ def _outcome_fields(outcome) -> dict:
             if f.name != "trace_id"}
 
 
-def run_bench(iterations: int, smoke: bool) -> dict:
-    """Time the three configurations; return the result blob."""
+def _timed(exchange_all) -> tuple[float, list]:
+    """Wall time of one GC-paused call of *exchange_all*, and its outcomes."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        outcomes = exchange_all()
+        return time.perf_counter() - start, outcomes
+    finally:
+        gc.enable()
+
+
+def run_bench(iterations: int, smoke: bool, repeats: int = 1) -> dict:
+    """Time the configurations; return the result blob.
+
+    Each repeat builds fresh environments and times the four
+    configurations back to back, so slow spells on the host hit every
+    configuration of a repeat alike; each configuration's wall time is
+    the median over the repeats.
+    """
     sender, receiver = _sender_receiver()
 
-    # -- cold: re-resolve everything per exchange -------------------------
-    cold_env = build_throughput_env(cache=False)
-    cold_outcomes = []
-    start = time.perf_counter()
-    for _ in range(iterations):
-        cold_outcomes.append(
-            cold_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+    def one_by_one(env):
+        return lambda: [
+            env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+            for _ in range(iterations)
+        ]
+
+    walls: dict[str, list[float]] = {name: [] for name in CONFIGURATIONS}
+    for _ in range(repeats):
+        # cold: resolution cache off, every exchange re-resolves
+        cold_env = build_throughput_env(cache=False)
+        # warm, batch and distinct-docs batch each start from one
+        # primed exchange; the distinct-docs batch shares no
+        # translation within its run (the batch speedup's lower bound)
+        warm_env, batch_env, distinct_env = (
+            build_throughput_env(cache=True) for _ in range(3)
         )
-    cold_s = time.perf_counter() - start
+        for env in (warm_env, batch_env, distinct_env):
+            env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+        requests = [
+            ExchangeRequest(sender, receiver, "producer", "consumer", DOCUMENT)
+            for _ in range(iterations)
+        ]
+        distinct_requests = [
+            ExchangeRequest(sender, receiver, "producer", "consumer", dict(DOCUMENT))
+            for _ in range(iterations)
+        ]
+        runs = {
+            "cold": _timed(one_by_one(cold_env)),
+            "warm": _timed(one_by_one(warm_env)),
+            "batch": _timed(lambda: batch_env.exchange_many(requests)),
+            "distinct": _timed(lambda: distinct_env.exchange_many(distinct_requests)),
+        }
+        # Correctness before speed: cached and batched exchanges must
+        # produce field-identical outcomes (modulo trace ids) to the
+        # cold path.
+        cold_outcomes = runs["cold"][1]
+        assert all(outcome.delivered for outcome in cold_outcomes)
+        reference = _outcome_fields(cold_outcomes[0])
+        for name, (wall, outcomes) in runs.items():
+            assert all(_outcome_fields(o) == reference for o in outcomes), name
+            walls[name].append(wall)
 
-    # -- warm: memoised resolution, still one call per document -----------
-    warm_env = build_throughput_env(cache=True)
-    warm_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)  # prime
-    warm_outcomes = []
-    start = time.perf_counter()
-    for _ in range(iterations):
-        warm_outcomes.append(
-            warm_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
-        )
-    warm_s = time.perf_counter() - start
-
-    # -- batch: one exchange_many over the same stream --------------------
-    batch_env = build_throughput_env(cache=True)
-    batch_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)  # prime
-    requests = [
-        ExchangeRequest(sender, receiver, "producer", "consumer", DOCUMENT)
-        for _ in range(iterations)
-    ]
-    start = time.perf_counter()
-    batch_outcomes = batch_env.exchange_many(requests)
-    batch_s = time.perf_counter() - start
-
-    # -- batch over distinct document objects: no within-run translation
-    # sharing, so this is the lower bound of the batch speedup ----------
-    distinct_env = build_throughput_env(cache=True)
-    distinct_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
-    distinct_requests = [
-        ExchangeRequest(sender, receiver, "producer", "consumer", dict(DOCUMENT))
-        for _ in range(iterations)
-    ]
-    start = time.perf_counter()
-    distinct_outcomes = distinct_env.exchange_many(distinct_requests)
-    distinct_s = time.perf_counter() - start
-
-    # Correctness before speed: cached and batched exchanges must produce
-    # field-identical outcomes (modulo trace ids) to the cold path.
-    reference = _outcome_fields(cold_outcomes[0])
-    for outcome in warm_outcomes:
-        assert _outcome_fields(outcome) == reference
-    for outcome in batch_outcomes:
-        assert _outcome_fields(outcome) == reference
-    for outcome in distinct_outcomes:
-        assert _outcome_fields(outcome) == reference
-    assert all(outcome.delivered for outcome in cold_outcomes)
-
+    cold_s, warm_s, batch_s, distinct_s = (
+        statistics.median(walls[name]) for name in CONFIGURATIONS
+    )
     cold_eps = iterations / cold_s
     warm_eps = iterations / warm_s
     batch_eps = iterations / batch_s
@@ -163,6 +179,8 @@ def run_bench(iterations: int, smoke: bool) -> dict:
         "bench": "exchange",
         "mode": "smoke" if smoke else "full",
         "iterations": iterations,
+        "repeats": repeats,
+        "walls_s": {name: [round(w, 5) for w in ws] for name, ws in walls.items()},
         "organisations": N_ORGS,
         "cold_eps": round(cold_eps, 1),
         "warm_eps": round(warm_eps, 1),
@@ -192,7 +210,8 @@ def emit(blob: dict) -> str:
 
 def report(blob: dict) -> None:
     print("\nE11: exchange-pipeline throughput "
-          f"({blob['iterations']} exchanges, {blob['organisations']} orgs)")
+          f"({blob['iterations']} exchanges, {blob['organisations']} orgs, "
+          f"median of {blob['repeats']} repeats)")
     print(f"  cold  (no cache)      {blob['cold_eps']:>10.1f} exchanges/s")
     print(f"  warm  (cached)        {blob['warm_eps']:>10.1f} exchanges/s  "
           f"({blob['warm_over_cold']:.2f}x cold)")
@@ -209,7 +228,7 @@ def report(blob: dict) -> None:
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
     iterations = 100 if smoke else 2000
-    blob = run_bench(iterations, smoke)
+    blob = run_bench(iterations, smoke, repeats=1 if smoke else REPEATS)
     report(blob)
     path = emit(blob)
     print(f"  wrote {path}")

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # One-command tier-1 verification (tox-free): unit/integration tests,
 # whole-tree bytecode compilation, a doctest pass over the
-# observability subsystem, a smoke run of the exchange-throughput
-# bench (exercises the fast path end to end without timing asserts),
-# and the federation benchmark's own tests (perfbench/tests, outside
-# tier-1's testpaths).
+# observability subsystem, the exchange-throughput bench in full mode
+# (warm >= 2x cold, batch >= 3x per-call loop, each wall the median of
+# 5 GC-paused repeats), and the federation benchmark's own tests
+# (perfbench/tests, outside tier-1's testpaths).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -45,8 +45,8 @@ for module_name in (
 sys.exit(1 if failures else 0)
 EOF
 
-echo "== bench_e7 throughput (smoke) =="
-python benchmarks/bench_e7_throughput.py --smoke
+echo "== bench_e7 throughput (full) =="
+python benchmarks/bench_e7_throughput.py
 
 echo "== federation smoke (2-domain round trip) =="
 python - <<'EOF'

@@ -8,11 +8,18 @@ document is exactly the mediation overhead that worries service-based
 mediation systems — the environment is *one* shared mediator, so the
 answers are shared too.
 
-The :class:`ResolutionCache` memoises
+The :class:`ResolutionCache` memoises each answer at the grain of the
+fact it is derived from:
 
-* per ``(sender, receiver, interaction)`` — the :class:`RouteVerdict`
-  (both organisation ids plus the policy-compatibility verdict), and
+* per person — their organisation id (a ``person -> org`` memo);
+* per ``(sender_org, receiver_org, interaction)`` — the
+  :class:`RouteVerdict`, one object shared by every pair of people in
+  those two organisations;
 * per ``(sender_app, receiver_app)`` — the native format pair.
+
+A warm route is two person gets and one verdict get, so traffic between
+people who have never exchanged before still hits once each has been
+seen.  The memo holds O(people + org pairs) entries, not O(pairs seen).
 
 Correctness under mutation is preserved by *keyed invalidation*: the
 environment builder subscribes the cache to
@@ -20,21 +27,22 @@ environment builder subscribes the cache to
 (fired on organisation, person and policy changes, carrying the mutated
 entity) and to
 :meth:`repro.environment.registry.ApplicationRegistry.add_listener`
-(fired on application registration).  Each cached route is indexed under
-the person ids and organisation ids it touches, so a mutation evicts only
-the verdicts derived from the mutated entity — registering a person in
-org A leaves every route wholly inside org B memoised.  A policy change
-between two organisations evicts exactly the routes touching *both*.
-Mutations that arrive without entity scope (legacy callers) fall back to
-a whole-cache flush.  Failed lookups (unknown applications) are never
-cached.
+(fired on application registration).  A person event forgets that one
+person's organisation; a policy event drops the verdicts between the two
+organisations of the mutated pair; an organisation event, or a mutation
+without entity scope, flushes the person and verdict memos.  Unresolvable
+lookups (unknown people, unknown applications) are never cached, so a
+person registered directly on an :class:`~repro.org.model.Organisation`
+(which fires no event) resolves on their first exchange.
 
 Hit/miss/invalidation totals are kept as plain attributes and, when a
 metrics registry is attached, exported as ``env.cache.route.<hit|miss>``,
 ``env.cache.formats.<hit|miss>``, ``env.cache.invalidations`` and
-``env.cache.evicted`` counters.  ``invalidations`` counts *logical
-invalidation events that evicted at least one entry* — a mutation storm
-against an empty or untouched cache costs nothing and counts nothing.
+``env.cache.evicted`` counters.  A route hit is a route resolved without
+consulting the knowledge base or the policy registry.  ``invalidations``
+counts *logical invalidation events that evicted at least one entry* — a
+mutation storm against an empty or untouched cache costs nothing and
+counts nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from repro.util.errors import UnknownObjectError
 
 @dataclass(frozen=True)
 class RouteVerdict:
-    """The memoised organisational answer for one (sender, receiver, interaction).
+    """The organisational answer for one (sender, receiver, interaction).
 
     ``policy_ok`` is only meaningful when the organisations differ;
     intra-organisation routes are always compatible.
@@ -64,8 +72,12 @@ class RouteVerdict:
         return self.sender_org != self.receiver_org
 
 
+#: the verdict for a route with a participant the KB does not know
+_UNRESOLVED = RouteVerdict("", "", True)
+
+
 class ResolutionCache:
-    """Memoises org/policy verdicts and app format pairs for exchanges.
+    """Memoises person orgs, org-pair verdicts and app format pairs.
 
     ``enabled`` can be flipped off (builder knob
     ``with_resolution_cache(False)``) to force fresh resolution on every
@@ -82,11 +94,9 @@ class ResolutionCache:
     def __init__(self, knowledge_base: Any, applications: Any) -> None:
         self._kb = knowledge_base
         self._apps = applications
-        self._routes: dict[tuple[str, str, str], RouteVerdict] = {}
+        self._orgs: dict[str, str] = {}
+        self._verdicts: dict[tuple[str, str, str], RouteVerdict] = {}
         self._formats: dict[tuple[str, str], tuple[str, str]] = {}
-        #: secondary index: ``p:<person>`` / ``o:<org>`` tag -> route keys
-        self._route_index: dict[str, set[tuple[str, str, str]]] = {}
-        self._route_tags: dict[tuple[str, str, str], tuple[str, ...]] = {}
         self.attach_metrics(None)
         self.enabled = True
         self.route_hits = 0
@@ -113,18 +123,24 @@ class ResolutionCache:
         """The org/policy verdict for one directed person pair."""
         if not self.enabled:
             return self._resolve_route(sender, receiver, interaction)
-        key = (sender, receiver, interaction)
-        verdict = self._routes.get(key)
-        if verdict is None:
-            self.route_misses += 1
-            if self._obs.enabled:
-                self._m_route_miss.inc()
-            verdict = self._resolve_route(sender, receiver, interaction)
-            self._store_route(key, verdict)
-        else:
+        orgs = self._orgs
+        # a person not yet memoised keys as None, which no verdict has
+        verdict = self._verdicts.get((orgs.get(sender), orgs.get(receiver), interaction))
+        if verdict is not None:
             self.route_hits += 1
             if self._obs.enabled:
                 self._m_route_hit.inc()
+            return verdict
+        self.route_misses += 1
+        if self._obs.enabled:
+            self._m_route_miss.inc()
+        try:
+            key = (self._org_of(sender), self._org_of(receiver), interaction)
+        except UnknownObjectError:
+            return _UNRESOLVED
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._verdict(*key)
         return verdict
 
     def formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
@@ -149,16 +165,25 @@ class ResolutionCache:
                 self._m_formats_hit.inc()
         return pair
 
+    def _org_of(self, person: str) -> str:
+        org = self._orgs.get(person)
+        if org is None:
+            org = self._orgs[person] = self._kb.organisation_of(person)
+        return org
+
     def _resolve_route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
         kb = self._kb
         try:
             sender_org = kb.organisation_of(sender)
             receiver_org = kb.organisation_of(receiver)
         except UnknownObjectError:
-            sender_org = receiver_org = ""
-        policy_ok = True
-        if sender_org != receiver_org:
-            policy_ok = kb.policies.compatible(sender_org, receiver_org, interaction)
+            return _UNRESOLVED
+        return self._verdict(sender_org, receiver_org, interaction)
+
+    def _verdict(self, sender_org: str, receiver_org: str, interaction: str) -> RouteVerdict:
+        policy_ok = sender_org == receiver_org or self._kb.policies.compatible(
+            sender_org, receiver_org, interaction
+        )
         return RouteVerdict(sender_org, receiver_org, policy_ok)
 
     def _resolve_formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
@@ -168,58 +193,11 @@ class ResolutionCache:
             apps.descriptor(receiver_app).format_name,
         )
 
-    # -- keyed route index -------------------------------------------------
-    def _store_route(self, key: tuple[str, str, str], verdict: RouteVerdict) -> None:
-        self._routes[key] = verdict
-        sender, receiver, _ = key
-        tags = tuple(
-            {
-                f"p:{sender}",
-                f"p:{receiver}",
-                f"o:{verdict.sender_org}",
-                f"o:{verdict.receiver_org}",
-            }
-        )
-        self._route_tags[key] = tags
-        index = self._route_index
-        for tag in tags:
-            index.setdefault(tag, set()).add(key)
-
-    def _drop_route(self, key: tuple[str, str, str]) -> int:
-        if self._routes.pop(key, None) is None:
-            return 0
-        for tag in self._route_tags.pop(key, ()):
-            keys = self._route_index.get(tag)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._route_index[tag]
-        return 1
-
-    def _evict_tag(self, tag: str) -> int:
-        keys = self._route_index.get(tag)
-        if not keys:
-            return 0
-        return sum(self._drop_route(key) for key in list(keys))
-
-    def _evict_org_pair(self, org_a: str, org_b: str) -> int:
-        first = self._route_index.get(f"o:{org_a}")
-        if not first:
-            return 0
-        if org_a == org_b:
-            affected = set(first)
-        else:
-            second = self._route_index.get(f"o:{org_b}")
-            if not second:
-                return 0
-            affected = first & second
-        return sum(self._drop_route(key) for key in affected)
-
+    # -- invalidation ------------------------------------------------------
     def _clear_routes(self) -> int:
-        removed = len(self._routes)
-        self._routes.clear()
-        self._route_index.clear()
-        self._route_tags.clear()
+        removed = len(self._orgs) + len(self._verdicts)
+        self._orgs.clear()
+        self._verdicts.clear()
         return removed
 
     def _clear_formats(self) -> int:
@@ -237,17 +215,12 @@ class ResolutionCache:
                 self._m_invalidations.inc()
                 self._m_evicted.inc(removed)
 
-    # -- invalidation ------------------------------------------------------
-    def invalidate_routes(self) -> None:
-        """Forget every memoised org/policy verdict (one logical event)."""
-        self._note_event(self._clear_routes())
-
     def invalidate_formats(self) -> None:
         """Forget every memoised format pair (one logical event)."""
         self._note_event(self._clear_formats())
 
     def invalidate_all(self) -> None:
-        """Forget everything (routes and formats).
+        """Forget everything (people, verdicts and formats).
 
         One logical invalidation, counted once — not once per sub-cache.
         """
@@ -258,23 +231,23 @@ class ResolutionCache:
 
         Eviction is scoped to the mutated entity:
 
-        * ``person`` — only routes whose sender or receiver is
-          *entity_id*;
-        * ``organisation`` — routes touching that organisation, plus
-          routes cached while a participant was unknown (empty org ids):
-          the new organisation may be the one that makes them resolvable;
-        * ``policy`` — routes touching *both* organisations of the
-          mutated pair (a policy can only flip verdicts between them).
+        * ``person`` — only *entity_id*'s memoised organisation;
+        * ``policy`` — the verdicts between the two organisations of the
+          mutated pair, in either direction (a policy can only flip
+          verdicts between them);
+        * ``organisation`` — every memoised person and verdict.
 
-        Called without entity scope (legacy/no-arg form) the whole route
-        cache is dropped, preserving the old conservative contract.
+        Called without entity scope (legacy/no-arg form) it flushes the
+        same way as an organisation event.
         """
         if kind == "person" and entity_id:
-            removed = self._evict_tag(f"p:{entity_id}")
-        elif kind == "organisation" and entity_id:
-            removed = self._evict_tag(f"o:{entity_id}") + self._evict_tag("o:")
+            removed = int(self._orgs.pop(entity_id, None) is not None)
         elif kind == "policy" and entity_id and org:
-            removed = self._evict_org_pair(entity_id, org)
+            pair = ((entity_id, org), (org, entity_id))
+            stale = [key for key in self._verdicts if key[:2] in pair]
+            for key in stale:
+                del self._verdicts[key]
+            removed = len(stale)
         else:
             removed = self._clear_routes()
         self._note_event(removed)
@@ -290,7 +263,11 @@ class ResolutionCache:
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict[str, int]:
-        """Counters and sizes, for ``describe()`` and the benchmarks."""
+        """Counters and sizes, for ``describe()`` and the benchmarks.
+
+        ``people_cached`` counts memoised person -> org entries and
+        ``routes_cached`` the memoised org-pair verdicts.
+        """
         return {
             "route_hits": self.route_hits,
             "route_misses": self.route_misses,
@@ -299,6 +276,7 @@ class ResolutionCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "generation": self.generation,
-            "routes_cached": len(self._routes),
+            "people_cached": len(self._orgs),
+            "routes_cached": len(self._verdicts),
             "formats_cached": len(self._formats),
         }

@@ -24,9 +24,10 @@ Directory entries are keyed by id (``cn=<person_id>,o=<org_id>,c=..``),
 not display name — ids are unique across the KB, names are not.
 
 Keyed change notifications (kind, entity id, org) are inherited from the
-base class: the environment's resolution cache evicts only the routes
-touching the mutated entity, which is what keeps mutation storms from
-wrecking the warm path at scale (ISSUE 7's 2,306-invalidation storm).
+base class: the environment's resolution cache memoises person -> org
+itself, and a person event makes it forget only that person, which is
+what keeps mutation storms from wrecking the warm path at scale.  The
+index here serves the cache's misses and every direct KB lookup.
 """
 
 from __future__ import annotations

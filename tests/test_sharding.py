@@ -20,6 +20,7 @@ from repro.communication.model import Communicator
 from repro.environment.environment import (
     REASON_DELIVERED,
     REASON_POLICY,
+    REASON_UNKNOWN_RECEIVER,
     CSCWEnvironment,
     ExchangeRequest,
 )
@@ -52,9 +53,14 @@ def converter(index: int) -> FormatConverter:
 
 
 def make_env(world, *, shards=None, orgs=("upc", "gmd", "acme", "zeta"),
-             on_deliver=None):
+             on_deliver=None, cache=True):
     """An environment with one person per org and producer/consumer apps."""
-    builder = CSCWEnvironment.builder().with_world(world).with_name("shardtest")
+    builder = (
+        CSCWEnvironment.builder()
+        .with_world(world)
+        .with_name("shardtest")
+        .with_resolution_cache(cache)
+    )
     if shards is not None:
         builder = builder.with_sharding(shards)
     env = builder.build()
@@ -248,6 +254,8 @@ class TestKeyedInvalidation:
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
 
     def test_person_event_evicts_only_their_routes(self, world):
+        # a move evicts exactly the mover's person -> org entry; the
+        # org-pair verdicts are shared by everyone and stay memoised
         env = make_env(world)
         assert exchange(env, "p-upc", "p-gmd").delivered
         assert exchange(env, "p-acme", "p-zeta").delivered
@@ -255,10 +263,15 @@ class TestKeyedInvalidation:
         env.knowledge_base.move_person("p-upc", "acme")
         after = env.resolution.stats()
         assert after["evictions"] == before["evictions"] + 1
-        assert after["routes_cached"] == before["routes_cached"] - 1
+        assert after["people_cached"] == before["people_cached"] - 1
+        assert after["routes_cached"] == before["routes_cached"]
         # the untouched route still serves from cache
         assert exchange(env, "p-acme", "p-zeta").delivered
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
+        # the mover's next exchange resolves their new organisation
+        assert exchange(env, "p-upc", "p-gmd").delivered
+        verdict = env.resolution.route("p-upc", "p-gmd", INTERACTION_MESSAGE)
+        assert (verdict.sender_org, verdict.receiver_org) == ("acme", "gmd")
 
     def test_policy_event_scoped_to_the_org_pair(self, world):
         env = make_env(world)
@@ -281,12 +294,15 @@ class TestKeyedInvalidation:
         env = make_env(world)
         assert exchange(env, "p-upc", "p-gmd").delivered
         before = env.resolution.stats()
+        assert before["people_cached"] == 2
         assert before["routes_cached"] == 1
         assert before["formats_cached"] == 1
         env.resolution.invalidate_all()
         after = env.resolution.stats()
         assert after["invalidations"] == before["invalidations"] + 1
-        assert after["evictions"] == before["evictions"] + 2
+        # two people, one org-pair verdict, one format pair
+        assert after["evictions"] == before["evictions"] + 4
+        assert after["people_cached"] == 0
         assert after["routes_cached"] == 0
         assert after["formats_cached"] == 0
 
@@ -297,6 +313,38 @@ class TestKeyedInvalidation:
         after = env.resolution.stats()
         assert after["invalidations"] == before["invalidations"]
         assert after["generation"] == before["generation"] + 1
+
+
+class TestUnresolvedParticipant:
+    @pytest.mark.parametrize("cache", [True, False], ids=["warm", "cold"])
+    def test_late_direct_registration_still_checks_policy(self, cache):
+        # an exchange to a not-yet-known person must not memoise an
+        # "unknown participant" verdict: once that person is registered
+        # directly on their Organisation (which fires no KB event) the
+        # next exchange has to run the policy check like a cold lookup
+        world = World(seed=42)
+        env = make_env(world, orgs=("upc", "gmd"), cache=cache)
+        kb = env.knowledge_base
+        kb.policies.revoke("upc", "gmd", symmetric=True)
+        early = exchange(env, "p-upc", "late")
+        assert early.reason_code == REASON_UNKNOWN_RECEIVER
+        kb.organisation("gmd").add_person(Person("late", "Late Joiner", "gmd"))
+        world.network.add_node("ws-late", site="gmd")
+        env.register_person(Communicator("late", "ws-late"))
+        refused = exchange(env, "p-upc", "late")
+        assert not refused.delivered
+        assert refused.reason_code == REASON_POLICY
+
+    def test_unknown_participant_is_never_memoised(self, world):
+        env = make_env(world, orgs=("upc", "gmd"))
+        before = env.resolution.stats()
+        for _ in range(2):
+            verdict = env.resolution.route("p-upc", "nobody", INTERACTION_MESSAGE)
+            assert (verdict.sender_org, verdict.receiver_org) == ("", "")
+        after = env.resolution.stats()
+        assert after["route_misses"] == before["route_misses"] + 2
+        assert after["routes_cached"] == before["routes_cached"]
+        assert after["people_cached"] == before["people_cached"] + 1  # p-upc only
 
 
 class TestExchangeManyMidBatchMutation:
@@ -369,13 +417,14 @@ class TestShardedEnvironment:
         assert outcome.reason_code == REASON_DELIVERED
 
     def test_move_across_shards_evicts_only_affected_keys(self, world):
-        # satellite 4: the cross-shard move evicts the mover's routes and
+        # the cross-shard move evicts the mover's person -> org entry and
         # nothing else (pinned through ResolutionCache.stats())
         env = make_env(world, shards=4)
         kb = env.knowledge_base
         assert exchange(env, "p-upc", "p-gmd").delivered
         assert exchange(env, "p-acme", "p-zeta").delivered
         before = env.resolution.stats()
+        assert before["people_cached"] == 4
         assert before["routes_cached"] == 2
 
         old_shard_id = kb.shard_of_person("p-upc")
@@ -390,9 +439,14 @@ class TestShardedEnvironment:
         assert kb.resolve_person_entry("p-upc").first("cn") == "p-upc"
         after = env.resolution.stats()
         assert after["evictions"] == before["evictions"] + 1
-        assert after["routes_cached"] == 1
+        assert after["people_cached"] == 3
+        assert after["routes_cached"] == 2
         assert exchange(env, "p-acme", "p-zeta").delivered
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
+        # the mover's next exchange resolves their new organisation
+        assert exchange(env, "p-upc", "p-gmd").delivered
+        verdict = env.resolution.route("p-upc", "p-gmd", INTERACTION_MESSAGE)
+        assert verdict.sender_org == target
 
     def test_federation_passes_shards_to_domains(self, world):
         federation = Federation(world, shards=2)
