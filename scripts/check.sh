@@ -3,8 +3,9 @@
 # whole-tree bytecode compilation, a doctest pass over the
 # observability subsystem, the exchange-throughput bench in full mode
 # (warm >= 2x cold, batch >= 3x per-call loop, each wall the median of
-# 5 GC-paused repeats), and the federation benchmark's own tests
-# (perfbench/tests, outside tier-1's testpaths).
+# 5 GC-paused repeats), the resilience and control benches in full mode
+# (their comparative asserts are on simulated time), and the federation
+# benchmark's own tests (perfbench/tests, outside tier-1's testpaths).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -153,8 +154,8 @@ assert not expired.delivered and expired.reason_code == "deadline-exceeded", exp
 print(f"failover ok via {outcome.hops[1].domain}: {outcome.latency_s*1000:.1f} ms")
 EOF
 
-echo "== bench_e9 resilience (quick) =="
-python benchmarks/bench_e9_resilience.py --quick
+echo "== bench_e9 resilience (full) =="
+python benchmarks/bench_e9_resilience.py
 
 echo "== obs smoke (one connected trace across a failover exchange) =="
 python - <<'EOF'
@@ -273,8 +274,8 @@ print(f"control loop ok: burn at t={apply_event.time:.2f}s applied "
       f"{apply_event.attrs['action']}, reverted at t={revert_event.time:.2f}s")
 EOF
 
-echo "== bench_e11 control (quick) =="
-python benchmarks/bench_e11_control.py --quick
+echo "== bench_e11 control (full) =="
+python benchmarks/bench_e11_control.py
 
 echo "== shard smoke (cross-shard exchange + keyed eviction) =="
 python - <<'EOF'

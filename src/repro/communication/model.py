@@ -6,13 +6,16 @@ exchange, and the context within which communication takes place."*
 
 A :class:`Communicator` is a person's communication endpoint (their node,
 the media they can receive, and their presence).  Every concrete exchange
-— synchronous or asynchronous — is recorded as an :class:`Exchange` in the
+— synchronous or asynchronous — is recorded in the
 :class:`CommunicationLog`, which supports the who-talks-to-whom analyses
-message-based systems build on.
+message-based systems build on.  The environment's hot path appends each
+exchange as a plain row; readers see :class:`Exchange` records, built
+from the rows on first read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from repro.messaging.body_parts import MEDIA_TEXT
 from repro.messaging.names import OrName
@@ -109,43 +112,67 @@ class CommunicatorRegistry:
 
 
 class CommunicationLog:
-    """Records exchanges and answers structural queries."""
+    """Records exchanges and answers structural queries.
+
+    :meth:`append`, the hot-path writer, stores a plain row of atomic
+    values: no record object, nothing for the cyclic collector to track.
+    The first read turns pending rows into cached :class:`Exchange`
+    records; rows with one setting share one :class:`CommunicationContext`.
+    """
 
     def __init__(self) -> None:
         self._exchanges: list[Exchange] = []
+        self._rows: list[tuple] = []
+        self._contexts: dict[tuple[str, str, str], CommunicationContext] = {}
+
+    def append(
+        self, sender: str, receiver: str, mode: str, media: str, size_bytes: int,
+        time: float, activity: str = "", from_org: str = "", to_org: str = "",
+    ) -> None:
+        """Append one exchange as a plain row."""
+        self._rows.append(
+            (sender, receiver, mode, media, size_bytes, time, activity, from_org, to_org)
+        )
 
     def record(self, exchange: Exchange) -> None:
-        """Append one exchange."""
-        self._exchanges.append(exchange)
+        """Append one exchange record (after any pending rows)."""
+        self._materialised().append(exchange)
+
+    def _materialised(self) -> list[Exchange]:
+        """Every exchange in order, pending rows converted and cached."""
+        if self._rows:
+            contexts = self._contexts
+            for *head, activity, from_org, to_org in self._rows:
+                key = (activity, from_org, to_org)
+                if key not in contexts:
+                    contexts[key] = CommunicationContext(
+                        activity=activity, from_org=from_org, to_org=to_org
+                    )
+                self._exchanges.append(Exchange(*head, contexts[key]))
+            self._rows.clear()
+        return self._exchanges
 
     def all(self) -> list[Exchange]:
         """All exchanges in order."""
-        return list(self._exchanges)
+        return list(self._materialised())
 
     def between(self, a: str, b: str) -> list[Exchange]:
         """Exchanges in either direction between two people."""
-        return [
-            e
-            for e in self._exchanges
-            if {e.sender, e.receiver} == {a, b}
-        ]
+        pair = {a, b}
+        return [e for e in self._materialised() if {e.sender, e.receiver} == pair]
 
     def by_mode(self, mode: str) -> list[Exchange]:
         """Exchanges of one mode."""
-        return [e for e in self._exchanges if e.mode == mode]
+        return [e for e in self._materialised() if e.mode == mode]
 
     def in_activity(self, activity: str) -> list[Exchange]:
         """Exchanges that happened within one activity context."""
-        return [e for e in self._exchanges if e.context.activity == activity]
+        return [e for e in self._materialised() if e.context.activity == activity]
 
     def traffic_matrix(self) -> dict[tuple[str, str], int]:
         """(sender, receiver) -> count of exchanges."""
-        matrix: dict[tuple[str, str], int] = {}
-        for e in self._exchanges:
-            key = (e.sender, e.receiver)
-            matrix[key] = matrix.get(key, 0) + 1
-        return matrix
+        return dict(Counter((e.sender, e.receiver) for e in self._materialised()))
 
     def volume_bytes(self) -> int:
         """Total bytes exchanged."""
-        return sum(e.size_bytes for e in self._exchanges)
+        return sum(e.size_bytes for e in self._materialised())

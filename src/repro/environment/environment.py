@@ -32,11 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.activity.model import Activity
-from repro.communication.model import (
-    CommunicationContext,
-    Communicator,
-    Exchange,
-)
+from repro.communication.model import Communicator
 from repro.environment.registry import AppDescriptor, DeliveryCallback
 from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile
 from repro.obs.events import KIND_DEADLINE, KIND_SHED
@@ -678,18 +674,9 @@ class CSCWEnvironment:
                 (receiver_app, rendered, info, expires_at)
             )
         size_bytes = document_size(payload)
-        self.communication_log.record(
-            Exchange(
-                sender=sender,
-                receiver=receiver,
-                mode=mode,
-                media="document",
-                size_bytes=size_bytes,
-                time=self.world.now,
-                context=CommunicationContext(
-                    activity=activity_id, from_org=sender_org, to_org=receiver_org
-                ),
-            )
+        self.communication_log.append(
+            sender, receiver, mode, "document", size_bytes, self.world.now,
+            activity_id, sender_org, receiver_org,
         )
         if metered:
             self._m_delivered.inc()
@@ -886,13 +873,8 @@ class CSCWEnvironment:
         deliver = self.applications.deliver
         pending = self._pending_deliveries
         publish = self.bus.publish
-        record = self.communication_log.record
+        log = self.communication_log.append
         now = self.world.now
-        context = CommunicationContext(
-            activity=activity_id,
-            from_org=verdict.sender_org,
-            to_org=verdict.receiver_org,
-        )
         #: id(document) -> (payload, fidelity, size_bytes); repeated
         #: documents in a run translate and size once
         prepared: dict[int, tuple[dict[str, Any], float, int]] = {}
@@ -967,11 +949,6 @@ class CSCWEnvironment:
                     )
                     handled_async = (
                         handled_tuple[:time_index] + ("time",) + handled_tuple[time_index:]
-                    )
-                    context = CommunicationContext(
-                        activity=activity_id,
-                        from_org=verdict.sender_org,
-                        to_org=verdict.receiver_org,
                     )
                     prepared.clear()
                     made.clear()
@@ -1075,16 +1052,9 @@ class CSCWEnvironment:
                 pending.setdefault(receiver, []).append(
                     (receiver_app, rendered, info, expires_at)
                 )
-            record(
-                Exchange(
-                    sender=sender,
-                    receiver=receiver,
-                    mode=mode,
-                    media="document",
-                    size_bytes=size_bytes,
-                    time=now,
-                    context=context,
-                )
+            log(
+                sender, receiver, mode, "document", size_bytes, now,
+                activity_id, verdict.sender_org, verdict.receiver_org,
             )
             outcome_key = (doc_key, mode)
             outcome = made.get(outcome_key)

@@ -165,6 +165,7 @@ class Gateway:
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self.breaker = breaker
         self._ids = IdFactory(width=6)
+        self._relay_namespace = f"relay:{source}>{target}"
         self.relays = 0
         self.delivered = 0
         self.retries = 0
@@ -282,7 +283,9 @@ class Gateway:
         if self._obs.enabled:
             self._m_relays_total.inc()
             self._m_relays.inc()
-        payload.setdefault("relay_id", self._ids.next(f"relay:{self.source}>{self.target}"))
+        if "relay_id" not in payload:
+            # a redriven payload keeps its id and must not consume one
+            payload["relay_id"] = self._ids.next(self._relay_namespace)
         state = _Relay(payload, on_reply, on_dead_letter, deadline)
         if self._tracer.enabled:
             # Continue the trace the payload carries (or the caller's open

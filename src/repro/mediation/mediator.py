@@ -114,7 +114,10 @@ class Mediator:
         self._plan_tags: dict[tuple[str, str], tuple[str, ...]] = {}
         #: source format -> outgoing edges, rebuilt lazily from the trader
         self._edges: dict[str, list[ConversionCapability]] = {}
-        self._graph_stale = True
+        #: (source, target) -> the no-route message, valid for the graph
+        #: it was computed on; dropped with every graph change
+        self._unroutable: dict[tuple[str, str], str] = {}
+        self._mark_graph_stale()
         self.attach_metrics(None)
         self._tracer: Tracer = NULL_TRACER
         self.publishes = 0
@@ -173,7 +176,7 @@ class Mediator:
         )
         self._implementations[capability.capability_id] = capability
         self._offer_ids[capability.capability_id] = offer.offer_id
-        self._graph_stale = True
+        self._mark_graph_stale()
         self.publishes += 1
         if self._obs.enabled:
             self._m_published.inc()
@@ -210,7 +213,7 @@ class Mediator:
             raise ConfigurationError(f"unknown capability {capability_id!r}")
         self._trader.withdraw(self._offer_ids.pop(capability_id))
         del self._implementations[capability_id]
-        self._graph_stale = True
+        self._mark_graph_stale()
         self.withdrawals += 1
         if self._obs.enabled:
             self._m_withdrawn.inc()
@@ -229,6 +232,11 @@ class Mediator:
         return len(self._implementations)
 
     # -- graph assembly ----------------------------------------------------
+    def _mark_graph_stale(self) -> None:
+        """Rebuild the graph on next use; its remembered no-route pairs go."""
+        self._graph_stale = True
+        self._unroutable.clear()
+
     def _graph(self) -> dict[str, list[ConversionCapability]]:
         """The conversion graph, rebuilt from trader offers when stale.
 
@@ -298,7 +306,8 @@ class Mediator:
         Best = lexicographic (fidelity desc, cost asc, hops asc); ties
         break on the path, so same capabilities => same plan at every
         call and across same-seed reruns.  Raises
-        :class:`MediationError` when no route exists.
+        :class:`MediationError` when no route exists; the refusal is
+        remembered until the conversion graph changes.
         """
         if source == target:
             return MediationPlan(source, target, (source,), (), 1.0, 0.0)
@@ -309,7 +318,15 @@ class Mediator:
             if self._obs.enabled:
                 self._m_plan_hit.inc()
             return cached
-        plan = self._synthesize(source, target)
+        unroutable = self._unroutable.get(key)
+        if unroutable is not None:
+            self.failures += 1
+            raise MediationError(unroutable)
+        try:
+            plan = self._synthesize(source, target)
+        except MediationError as exc:
+            self._unroutable[key] = str(exc)
+            raise
         self.plans_synthesized += 1
         if self._obs.enabled:
             self._m_plan_synthesized.inc()

@@ -255,7 +255,6 @@ class Network:
             packet.delivered_at = self.engine.now
             if dst.deliver(packet):
                 self.metrics.increment("net.delivered")
-                self.metrics.record("net.latency", packet.delivered_at - packet.sent_at)
             else:
                 self.metrics.increment("net.dropped.no_handler")
 

@@ -134,17 +134,20 @@ class EventBus:
 
         When *time* is omitted the bus stamps the bound clock's current
         value (0.0 on an unbound bus), so publishers need not thread the
-        simulated time through themselves.
+        simulated time through themselves.  The :class:`Event` is built
+        only once a subscription matches.
         """
         if not topic:
             raise ValueError("topic must be non-empty")
-        if time is None:
-            time = self._clock() if self._clock is not None else 0.0
-        event = Event(topic=topic, payload=payload, source=source, time=time)
         self._published += 1
         count = 0
-        for sub in list(self._subs):
+        event = None
+        for sub in list(self._subs) if self._subs else ():
             if topic_matches(sub.pattern, topic):
+                if event is None:
+                    if time is None:
+                        time = self._clock() if self._clock is not None else 0.0
+                    event = Event(topic=topic, payload=payload, source=source, time=time)
                 sub.handler(event)
                 count += 1
         self._delivered += count

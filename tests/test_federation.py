@@ -281,6 +281,23 @@ class TestGatewayFailure:
         # a second redrive has nothing left to push
         assert gateway.redrive() == 0
 
+    def test_redrive_keeps_its_relay_id_without_consuming_one(self, world):
+        federation, inboxes = make_federation(world)
+        gateway = federation.domain("upc").gateway_to("gmd")
+        world.network.node("gw-gmd").crash()
+        federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        assert gateway.dead_letters[0].payload["relay_id"] == "relay:upc>gmd-000001"
+        world.network.node("gw-gmd").recover()
+        assert gateway.redrive() == 1
+        world.run_for(5.0)
+        fresh = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        assert fresh.delivered
+        assert list(federation.domain("gmd").relay_seen) == [
+            "relay:upc>gmd-000001",
+            "relay:upc>gmd-000002",
+        ]
+        assert len(inboxes["app1"]) == 2
+
     def test_retry_masks_transient_outage(self, world):
         """A target that comes back mid-retry still gets the payload."""
         federation, inboxes = make_federation(

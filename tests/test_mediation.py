@@ -174,6 +174,44 @@ class TestPlanning:
             mediator.plan("b", "z")
         assert mediator.failures == 1
 
+    def test_unroutable_pair_is_remembered_until_the_graph_changes(
+        self, mediator, monkeypatch
+    ):
+        for name in ("fmt0", "fmt3"):
+            for capability in capabilities_from_converter(_converter(name)):
+                mediator.publish(capability)
+        mediator.publish(
+            direct_capability("fax", "scan", _identity, fidelity=0.95, kind=KIND_PARTIAL)
+        )
+        bridge = direct_capability("scan", "fmt3", _identity, fidelity=0.9,
+                                   kind=KIND_PARTIAL)
+        mediator.publish(bridge)
+        synthesize = mediator._synthesize
+        runs = []
+
+        def counted(source, target):
+            runs.append((source, target))
+            return synthesize(source, target)
+
+        monkeypatch.setattr(mediator, "_synthesize", counted)
+        assert mediator.negotiate("fax", "fmt0").hops == 4
+        mediator.withdraw(bridge.capability_id)
+        messages = set()
+        for _ in range(100):
+            with pytest.raises(MediationError) as caught:
+                mediator.negotiate("fax", "fmt0")
+            messages.add(str(caught.value))
+        assert runs == [("fax", "fmt0"), ("fax", "fmt0")]  # one plan, one refusal
+        assert mediator.failures == 100
+        assert mediator.plans_synthesized == 1
+        assert messages == {
+            "no conversion route from 'fax' to 'fmt0' (5 capabilities published)"
+        }
+        mediator.publish(bridge)
+        assert mediator.negotiate("fax", "fmt0").hops == 4
+        assert len(runs) == 3
+        assert mediator.plans_synthesized == 2
+
     def test_plan_cache_hits(self, mediator):
         mediator.publish(direct_capability("a", "b", _identity))
         mediator.plan("a", "b")
