@@ -34,9 +34,11 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_e8_federation.py [--quick]
 
-``--quick`` (used by ``scripts/check.sh``; ``--smoke`` is accepted as an
-alias) runs a small workload over 1 and 2 domains only and relaxes the
-wall-clock assertions that need real iteration counts.
+Full mode (run by ``scripts/check.sh``) times each case as the median
+of 5 interleaved repeats, each GC-paused.  ``--quick`` (``--smoke`` is
+accepted as an alias) runs one repeat of a small workload over 1 and 2
+domains only and relaxes the wall-clock assertions that need real
+iteration counts.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import fields as dataclass_fields
+from typing import Any
 
 from bench_common import synthetic_converter
 from repro.environment.environment import ExchangeRequest
@@ -57,6 +61,9 @@ from repro.sim.world import World
 
 #: people homed in each domain
 PEOPLE_PER_DOMAIN = 4
+
+#: timed repeats per case in full mode (each case reports the median)
+REPEATS = 5
 
 DOCUMENT = {"fmt0-title": "minutes", "fmt0-body": "we met"}
 
@@ -92,13 +99,21 @@ def build_federation(n_domains: int) -> Federation:
     return federation
 
 
-def run_sweep(n_domains: int, iterations: int) -> dict:
-    """Measure intra- and cross-domain exchange, per-request and batched.
+def _timed(call) -> tuple[float, Any]:
+    """Wall time of one GC-paused *call*, and its result."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = call()
+        return time.perf_counter() - start, result
+    finally:
+        gc.enable()
 
-    GC is paused across the timed phases (and collected between them):
-    the wall ratios compare path costs, and a collection landing inside
-    one phase but not another would skew them.
-    """
+
+def run_once(n_domains: int, iterations: int) -> tuple[dict[str, float], dict]:
+    """One repeat on a fresh federation: the timed cases' walls (seconds,
+    each GC-paused) and the repeat's simulated figures and bookkeeping."""
     federation = build_federation(n_domains)
 
     def request(sender: str, receiver: str) -> ExchangeRequest:
@@ -123,57 +138,42 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
         federation.federated_exchange_many(
             [request("d0-p0", "d1-p1"), request("d0-p0", "d1-p1")]
         )
-    gc.collect()
-    gc.disable()
 
     # -- intra: both parties in domain 0, one call per exchange -----------
-    start = time.perf_counter()
-    intra_outcomes = [
-        federation.federated_exchange(
-            "d0-p0", "d0-p1", "app0", "app1", DOCUMENT
-        )
-        for _ in range(iterations)
-    ]
-    intra_s = time.perf_counter() - start
+    walls: dict[str, float] = {}
+    walls["intra"], intra_outcomes = _timed(
+        lambda: [
+            federation.federated_exchange("d0-p0", "d0-p1", "app0", "app1", DOCUMENT)
+            for _ in range(iterations)
+        ]
+    )
     assert all(outcome.delivered for outcome in intra_outcomes)
 
     # -- intra, batched: the same stream through one exchange_many call ---
     intra_requests = [request("d0-p0", "d0-p1") for _ in range(iterations)]
-    gc.collect()
-    start = time.perf_counter()
-    intra_batch = federation.federated_exchange_many(intra_requests)
-    intra_batch_s = time.perf_counter() - start
+    walls["intra_batch"], intra_batch = _timed(
+        lambda: federation.federated_exchange_many(intra_requests)
+    )
     assert all(outcome.delivered for outcome in intra_batch)
     assert [outcome_fields(o.outcome) for o in intra_batch] == [
         outcome_fields(o.outcome) for o in intra_outcomes
     ], "batched intra outcomes drifted from the per-request path"
-
-    sweep = {
-        "domains": n_domains,
-        "iterations": iterations,
-        "intra_eps": round(iterations / intra_s, 1),
-        "intra_wall_us": round(intra_s / iterations * 1e6, 1),
-        "intra_batch_eps": round(iterations / intra_batch_s, 1),
-        "intra_batch_wall_us": round(intra_batch_s / iterations * 1e6, 1),
-    }
     if n_domains == 1:
-        gc.enable()
-        return sweep
+        return walls, {}
 
     # -- cross, per-request: sender in domain i, receiver in (i+1) % n ----
     pairs = [
         (f"d{index}-p0", f"d{(index + 1) % n_domains}-p1")
         for index in range(n_domains)
     ]
-    gc.collect()
-    start = time.perf_counter()
-    cross_seq_outcomes = [
-        federation.federated_exchange(
-            *pairs[i % len(pairs)], "app0", "app1", DOCUMENT
-        )
-        for i in range(iterations)
-    ]
-    cross_seq_s = time.perf_counter() - start
+    walls["cross_seq"], cross_seq_outcomes = _timed(
+        lambda: [
+            federation.federated_exchange(
+                *pairs[i % len(pairs)], "app0", "app1", DOCUMENT
+            )
+            for i in range(iterations)
+        ]
+    )
     assert all(outcome.delivered for outcome in cross_seq_outcomes)
     assert all(outcome.cross_domain for outcome in cross_seq_outcomes)
 
@@ -194,11 +194,9 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
     batch_total = len(batch_requests)
     relays_before = relay_count()
     hits_before = counter("env.federation.home.hit")
-    gc.collect()
-    start = time.perf_counter()
-    cross_batch = federation.federated_exchange_many(batch_requests)
-    cross_batch_s = time.perf_counter() - start
-    gc.enable()
+    walls["cross_batch"], cross_batch = _timed(
+        lambda: federation.federated_exchange_many(batch_requests)
+    )
     batch_relays = relay_count() - relays_before
     batch_hits = counter("env.federation.home.hit") - hits_before
     assert all(outcome.delivered for outcome in cross_batch)
@@ -220,6 +218,63 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
         assert outcome_fields(outcome.outcome) == outcome_fields(expected.outcome)
         assert (outcome.origin, outcome.target) == (expected.origin, expected.target)
 
+    counters = federation._metrics.snapshot()["counters"]
+    return walls, {
+        "batch_total": batch_total,
+        "cross_sim_latency_s": round(
+            sum(o.latency_s for o in cross_seq_outcomes) / iterations, 4
+        ),
+        "cross_batch_sim_latency_s": round(
+            sum(o.latency_s for o in cross_batch) / batch_total, 4
+        ),
+        "forward_hop_s": round(sum(forward_hops) / len(forward_hops), 4),
+        "return_hop_s": round(sum(return_hops) / len(return_hops), 4),
+        "gateway_relays": relay_count(),
+        "cross_batch_relays": batch_relays,
+        "home_hits_per_batch_request": round(batch_hits / batch_total, 2),
+        "federation_counters": {
+            key: counters[key]
+            for key in sorted(counters)
+            if key.startswith(("env.federation.", "gateway."))
+        },
+    }
+
+
+def run_sweep(n_domains: int, iterations: int, repeats: int = 1) -> dict:
+    """Measure intra- and cross-domain exchange, per-request and batched.
+
+    Each repeat builds a fresh federation and times the cases back to
+    back, so a slow spell on the host hits every case of a repeat alike;
+    GC is paused inside each timed case (and collected before it), so a
+    collection cannot land in one case but not another.  Each case's
+    wall is the median over the repeats.  The simulated figures and the
+    bookkeeping are identical in every repeat (one seed); the last
+    repeat's are reported.
+    """
+    walls: dict[str, list[float]] = {}
+    for _ in range(repeats):
+        repeat_walls, figures = run_once(n_domains, iterations)
+        for case, wall in repeat_walls.items():
+            walls.setdefault(case, []).append(wall)
+    intra_s, intra_batch_s = (
+        statistics.median(walls[case]) for case in ("intra", "intra_batch")
+    )
+    sweep = {
+        "domains": n_domains,
+        "iterations": iterations,
+        "repeats": repeats,
+        "walls_s": {case: [round(w, 5) for w in ws] for case, ws in walls.items()},
+        "intra_eps": round(iterations / intra_s, 1),
+        "intra_wall_us": round(intra_s / iterations * 1e6, 1),
+        "intra_batch_eps": round(iterations / intra_batch_s, 1),
+        "intra_batch_wall_us": round(intra_batch_s / iterations * 1e6, 1),
+    }
+    if n_domains == 1:
+        return sweep
+    cross_seq_s, cross_batch_s = (
+        statistics.median(walls[case]) for case in ("cross_seq", "cross_batch")
+    )
+    batch_total = figures.pop("batch_total")
     sweep.update(
         {
             # headline cross numbers are the batched fast path
@@ -235,34 +290,21 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
             "batch_speedup": round(
                 (cross_seq_s / iterations) / (cross_batch_s / batch_total), 2
             ),
-            "cross_sim_latency_s": round(
-                sum(o.latency_s for o in cross_seq_outcomes) / iterations, 4
-            ),
-            "cross_batch_sim_latency_s": round(
-                sum(o.latency_s for o in cross_batch) / batch_total, 4
-            ),
-            "forward_hop_s": round(sum(forward_hops) / len(forward_hops), 4),
-            "return_hop_s": round(sum(return_hops) / len(return_hops), 4),
-            "gateway_relays": relay_count(),
-            "cross_batch_relays": batch_relays,
-            "home_hits_per_batch_request": round(batch_hits / batch_total, 2),
+            **figures,
         }
     )
-    counters = federation._metrics.snapshot()["counters"]
-    sweep["federation_counters"] = {
-        key: counters[key]
-        for key in sorted(counters)
-        if key.startswith(("env.federation.", "gateway."))
-    }
     return sweep
 
 
-def run_bench(domain_counts: list[int], iterations: int, quick: bool) -> dict:
+def run_bench(
+    domain_counts: list[int], iterations: int, quick: bool, repeats: int = 1
+) -> dict:
     """Run all sweeps; return the result blob."""
-    sweeps = [run_sweep(n, iterations) for n in domain_counts]
+    sweeps = [run_sweep(n, iterations, repeats) for n in domain_counts]
     return {
         "bench": "federation",
         "mode": "quick" if quick else "full",
+        "repeats": repeats,
         "people_per_domain": PEOPLE_PER_DOMAIN,
         "sweeps": sweeps,
     }
@@ -279,7 +321,8 @@ def emit(blob: dict) -> str:
 
 def report(blob: dict) -> None:
     print(f"\nE12: federated exchange cost ({blob['mode']} mode, "
-          f"{blob['people_per_domain']} people/domain)")
+          f"{blob['people_per_domain']} people/domain, "
+          f"median of {blob['repeats']} repeats)")
     for sweep in blob["sweeps"]:
         line = (f"  {sweep['domains']} domain(s): "
                 f"intra {sweep['intra_eps']:>8.1f} ex/s")
@@ -298,7 +341,7 @@ def main(argv: list[str]) -> int:
     quick = "--quick" in argv or "--smoke" in argv
     domain_counts = [1, 2] if quick else [1, 2, 4, 8]
     iterations = 48 if quick else 240
-    blob = run_bench(domain_counts, iterations, quick)
+    blob = run_bench(domain_counts, iterations, quick, repeats=1 if quick else REPEATS)
     report(blob)
     path = emit(blob)
     print(f"  wrote {path}")

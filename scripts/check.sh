@@ -3,9 +3,12 @@
 # whole-tree bytecode compilation, a doctest pass over the
 # observability subsystem, the exchange-throughput bench in full mode
 # (warm >= 2x cold, batch >= 3x per-call loop, each wall the median of
-# 5 GC-paused repeats), the resilience and control benches in full mode
-# (their comparative asserts are on simulated time), and the federation
-# benchmark's own tests (perfbench/tests, outside tier-1's testpaths).
+# 5 GC-paused repeats), the federation bench in full mode (batched cross
+# >= 3x per-request cross and <= 2x a per-request intra call, each wall
+# the median of 5 interleaved GC-paused repeats), the resilience and
+# control benches in full mode (their comparative asserts are on
+# simulated time), and the federation benchmark's own tests
+# (perfbench/tests, outside tier-1's testpaths).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -83,12 +86,12 @@ assert back.delivered and back.origin == "gmd" and back.target == "upc", back
 print(f"round trip ok: {outcome.latency_s*1000:.1f} ms out, {back.latency_s*1000:.1f} ms back")
 EOF
 
-echo "== bench_e8 federation (quick) =="
-python benchmarks/bench_e8_federation.py --quick
+echo "== bench_e8 federation (full) =="
+python benchmarks/bench_e8_federation.py
 
 echo "== federation fast-path guard (batched cross-domain cost) =="
 python - <<'EOF'
-# Regression fence for the federated batch fast path: the quick E12 run
+# Regression fence for the federated batch fast path: the E12 run
 # above wrote BENCH_federation.json; a change that reopens the
 # cross-domain gap (per-request relays, re-resolved homes, unbatched
 # intra runs) fails here, not in a full bench run someone forgets.

@@ -18,12 +18,19 @@ One :class:`CSCWEnvironment` aggregates the common services:
 
 Applications integrate once (:meth:`register_application`) and then
 exchange documents through :meth:`exchange`, which applies the four CSCW
-transparencies per the caller's :class:`TransparencyProfile`.  Heavy
-traffic goes through :meth:`exchange_many`, the batched fast path: org
-membership, policy verdicts and app format pairs are memoised in a
-:class:`~repro.environment.resolution.ResolutionCache` (invalidated by
-knowledge-base and registry mutations) and tracing/metrics are amortised
-to one span and one flush per batch.
+transparencies per the caller's :class:`TransparencyProfile`.
+
+Every exchange runs through one pipeline, ``_run``, over a *run* of
+requests that share everything but their document; its stages follow an
+RM-ODP engineering channel: admit (deadline, activity membership,
+organisation and policy) -> formats/view -> translate -> time/shed ->
+deliver/log -> account.  :meth:`exchange` is a run of one under its own
+``env.exchange`` span; :meth:`exchange_many` splits a batch into runs
+under one ``env.exchange_many`` span, so a run is admitted, routed and
+accounted once.  Org membership, policy verdicts and app format pairs
+are memoised in a :class:`~repro.environment.resolution.ResolutionCache`
+(invalidated by knowledge-base and registry mutations).  The federation
+runs the same admit stage at a cross-domain exchange's origin.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from repro.util.serialization import document_size
 
 if TYPE_CHECKING:
     from repro.environment.builder import EnvironmentBuilder
+    from repro.environment.resolution import RouteVerdict
 
 #: structured reason codes an ExchangeOutcome can carry
 REASON_DELIVERED = "delivered"
@@ -386,7 +394,7 @@ class CSCWEnvironment:
             activity.join(person_id, role)
         return activity
 
-    # -- the exchange primitive -----------------------------------------------------
+    # -- the exchange pipeline ------------------------------------------------------
     def exchange(self, request=None, /, *args: Any, **kwargs: Any) -> ExchangeOutcome:
         """Deliver one :class:`ExchangeRequest` (or legacy keyword form).
 
@@ -399,10 +407,11 @@ class CSCWEnvironment:
         a thin shim over :meth:`ExchangeRequest.from_kwargs` and produces
         identical outcomes.
 
-        The environment applies each enabled transparency; a disabled
-        transparency whose dimension the exchange actually crosses makes
-        the exchange fail — quantifying exactly what each transparency
-        buys (experiment E4).
+        The request runs through the environment's one exchange pipeline
+        (see :meth:`_run`) as a run of one.  The environment applies each
+        enabled transparency; a disabled transparency whose dimension the
+        exchange actually crosses makes the exchange fail — quantifying
+        exactly what each transparency buys (experiment E4).
 
         ``request.deadline`` is an absolute simulated time: an exchange
         arriving past it fails with :data:`REASON_DEADLINE_EXCEEDED`, and
@@ -423,7 +432,9 @@ class CSCWEnvironment:
             positional = () if request is None else (request,)
             request = ExchangeRequest.from_kwargs(*positional, *args, **kwargs)
         with self.tracer.span("env.exchange") as span:
-            outcome = self._exchange(request, span.trace_id)
+            outcomes: list[ExchangeOutcome] = []
+            self._run([request], span.trace_id, outcomes)
+            outcome = outcomes[0]
             span.tag(
                 delivered=outcome.delivered,
                 mode=outcome.mode,
@@ -509,221 +520,32 @@ class CSCWEnvironment:
             source_format, target_format, payload, min_fidelity=min_fidelity
         )
 
-    def _exchange(self, request: ExchangeRequest, trace_id: str) -> ExchangeOutcome:
-        sender = request.sender
-        receiver = request.receiver
-        sender_app = request.sender_app
-        receiver_app = request.receiver_app
-        activity_id = request.activity_id
-        interaction = request.interaction
-        self.exchanges_attempted += 1
-        metered = self.metrics.enabled
-        if metered:
-            self._m_attempted.inc()
-        active = request.profile if request.profile is not None else _ALL_ON
-        handled: list[str] = []
-
-        # Deadline check runs first: an exchange that arrives expired
-        # (e.g. after gateway hops) must not consume pipeline work.
-        expires_at = self.effective_deadline(request.deadline)
-        if expires_at is not None and self.world.now >= expires_at:
-            if metered:
-                self._m_shed_expired.inc()
-            if self.events.enabled:
-                self.events.record(
-                    self.world.now,
-                    KIND_DEADLINE,
-                    trace_id=trace_id,
-                    env=self.name,
-                    receiver=receiver,
-                    deadline=expires_at,
-                )
-            return self._fail(
-                REASON_DEADLINE_EXCEEDED,
-                f"exchange deadline {expires_at:.3f} passed at {self.world.now:.3f}",
-                trace_id,
-            )
-
-        # Membership check: activity-scoped exchanges require membership.
-        if activity_id:
-            activity = self.activities.get(activity_id)
-            for person in (sender, receiver):
-                if not activity.is_member(person):
-                    return self._fail(
-                        REASON_MEMBERSHIP,
-                        f"{person} is not a member of {activity_id}",
-                        trace_id,
-                    )
-
-        # 1. Organisation dimension (memoised per sender/receiver/interaction).
-        verdict = self.resolution.route(sender, receiver, interaction)
-        sender_org = verdict.sender_org
-        receiver_org = verdict.receiver_org
-        if verdict.cross_org:
-            if not active.organisation:
-                return self._fail(
-                    REASON_ORGANISATION_OPAQUE,
-                    f"cross-organisation exchange ({sender_org} -> {receiver_org}) "
-                    "with organisation transparency off",
-                    trace_id,
-                )
-            if not verdict.policy_ok:
-                return self._fail(
-                    REASON_POLICY,
-                    f"no compatible policy between {sender_org} and {receiver_org} "
-                    f"for {interaction}",
-                    trace_id,
-                )
-            handled.append("organisation")
-
-        # 2. View (format) dimension (memoised per app pair).
-        translated = False
-        fidelity = 1.0
-        payload = dict(request.document)
-        sender_format, receiver_format = self.resolution.formats(sender_app, receiver_app)
-        if sender_format != receiver_format:
-            if not active.view:
-                return self._fail(
-                    REASON_VIEW_OPAQUE,
-                    f"format mismatch ({sender_format} -> {receiver_format}) "
-                    "with view transparency off",
-                    trace_id,
-                )
-            try:
-                result = self._translate_payload(
-                    sender_format, receiver_format, payload, request.min_fidelity
-                )
-            except FidelityError as exc:
-                return self._fail(REASON_FIDELITY, str(exc), trace_id)
-            except InteropError as exc:
-                return self._fail(REASON_TRANSLATION, str(exc), trace_id)
-            payload = result.document
-            fidelity = result.fidelity
-            translated = True
-            handled.append("view")
-
-        # 3. Time dimension.  A receiver who was *never* registered is a
-        # hard failure, not an absence: queueing for them would blackhole
-        # the document in _pending_deliveries forever.
-        try:
-            receiver_present = self.communicators.get(receiver).present
-        except UnknownObjectError:
-            return self._fail(
-                REASON_UNKNOWN_RECEIVER,
-                f"receiver {receiver!r} has no registered communicator",
-                trace_id,
-            )
-        if receiver_present:
-            mode = "synchronous"
-        else:
-            if not active.time:
-                return self._fail(
-                    REASON_TIME_OPAQUE,
-                    f"receiver {receiver} absent with time transparency off",
-                    trace_id,
-                )
-            if (
-                request.priority <= 0
-                and self._shed_limit is not None
-                and len(self._pending_deliveries.get(receiver, ())) >= self._shed_limit
-            ):
-                if metered:
-                    self._m_shed_overload.inc()
-                if self.events.enabled:
-                    self.events.record(
-                        self.world.now,
-                        KIND_SHED,
-                        trace_id=trace_id,
-                        env=self.name,
-                        receiver=receiver,
-                        queued=self._shed_limit,
-                        shed_class=request.shed_class,
-                    )
-                return self._fail(
-                    REASON_OVERLOAD,
-                    f"receiver {receiver} has {self._shed_limit} deliveries "
-                    "queued; shedding to protect the environment",
-                    trace_id,
-                )
-            mode = "asynchronous"
-            handled.append("time")
-
-        # 4. Activity dimension: scoped vs global event publication.
-        info = {
-            "sender": sender,
-            "sender_app": sender_app,
-            "mode": mode,
-            "fidelity": fidelity,
-            "activity": activity_id,
-        }
-        if active.activity and activity_id:
-            topic = f"activity/{activity_id}/exchange"
-            handled.append("activity")
-        else:
-            topic = "exchange"
-        self.bus.publish(topic, info, source=sender_app, time=self.world.now)
-
-        # Deliver into the receiving application — immediately when the
-        # receiver is present, queued for their return otherwise (true
-        # store-and-forward semantics).
-        rendered = self.views.render(receiver, payload)
-        if mode == "synchronous":
-            self.applications.deliver(receiver_app, receiver, rendered, info)
-        else:
-            self._pending_deliveries.setdefault(receiver, []).append(
-                (receiver_app, rendered, info, expires_at)
-            )
-        size_bytes = document_size(payload)
-        self.communication_log.append(
-            sender, receiver, mode, "document", size_bytes, self.world.now,
-            activity_id, sender_org, receiver_org,
-        )
-        if metered:
-            self._m_delivered.inc()
-            self._m_reason_delivered.inc()
-            transparency = self._m_transparency
-            for dimension in handled:
-                transparency[dimension].inc()
-            self._m_document_bytes.observe(size_bytes)
-        return ExchangeOutcome(
-            delivered=True,
-            mode=mode,
-            reason=f"delivered ({mode})",
-            translated=translated,
-            fidelity=fidelity,
-            handled=tuple(handled),
-            reason_code=REASON_DELIVERED,
-            trace_id=trace_id,
-            size_bytes=size_bytes,
-        )
-
     def exchange_many(self, requests: "list[ExchangeRequest]") -> list[ExchangeOutcome]:
-        """Deliver a batch of exchanges, amortising per-call overheads.
+        """Deliver a batch of exchanges; outcomes in request order.
 
-        Semantically equivalent to calling :meth:`exchange` once per
-        request — every outcome field except ``trace_id`` is identical —
-        but the batch shares one ``env.exchange_many`` trace span and a
-        single aggregated metrics flush, and runs of consecutive requests
-        with the same route (sender, receiver, apps, activity, profile,
-        interaction) resolve org membership, policy, formats and the
-        receiver endpoint **once per run** instead of once per document.
-        Within a run, requests carrying the *same document object* share
-        one translation and one size computation (converters are
-        shape-deterministic, see :class:`~repro.information.interchange`).
+        The batch runs through the same pipeline as :meth:`exchange`, so
+        every outcome field except ``trace_id`` is what per-request calls
+        would return, failures included.  Consecutive requests that agree
+        on everything but their document form a *run*, which is
+        admitted, routed and accounted once; consecutive items carrying
+        the same document object share one translation, one size
+        computation and one outcome (converters are shape-deterministic,
+        see :class:`~repro.information.interchange`).  The batch shares
+        one ``env.exchange_many`` trace span.
 
-        Hoisting never serves stale state: the run watches the
-        resolution cache's ``generation`` token, so a delivery callback
-        that mutates the knowledge base mid-batch (a revoked policy, a
-        moved person) forces the remaining items of the current run to
-        re-resolve — they fail or deliver exactly as per-item
-        :meth:`exchange` calls would (presence changes are likewise seen
-        item-by-item).
+        Sharing never serves stale state: activity membership, the
+        receiver's endpoint, presence and queue depth are read per item,
+        and a delivery callback that mutates the knowledge base (a
+        revoked policy, a moved person) ends the run — the remaining
+        items start a fresh run and are re-admitted and re-routed,
+        failing or delivering exactly as per-request calls would.
         """
         with self.tracer.span(
             "env.exchange_many", domain=self.name, batch=len(requests)
         ) as span:
             trace_id = span.trace_id
             outcomes: list[ExchangeOutcome] = []
+            delivered = 0
             count = len(requests)
             start = 0
             while start < count:
@@ -746,336 +568,292 @@ class CSCWEnvironment:
                     ):
                         break
                     stop += 1
-                self._exchange_group(requests[start:stop], trace_id, outcomes)
-                start = stop
-            if self.metrics.enabled and outcomes:
-                self._flush_batch_metrics(outcomes)
-            delivered = sum(1 for outcome in outcomes if outcome.delivered)
-            span.tag(delivered=delivered, failed=len(outcomes) - delivered)
+                while start < stop:
+                    served, ok = self._run(requests[start:stop], trace_id, outcomes)
+                    start += served
+                    delivered += ok
+            span.tag(delivered=delivered, failed=count - delivered)
             return outcomes
 
-    def _exchange_group(
+    def _admit(self, request: ExchangeRequest) -> "tuple[str, str, RouteVerdict | None]":
+        """Admit one request past activity membership and the
+        organisation dimension (cross-organisation transparency and the
+        org-pair policy verdict, memoised by the resolution cache).
+
+        Returns ``(reason_code, reason, verdict)``; the code is ``""``
+        when the request is admitted.  :meth:`_run` admits each run's
+        head here, after the deadline; the federation runs the same
+        stage at a cross-domain exchange's origin before relaying it.
+        """
+        activity_id = request.activity_id
+        if activity_id:
+            activity = self.activities.get(activity_id)
+            for person in (request.sender, request.receiver):
+                if not activity.is_member(person):
+                    reason = f"{person} is not a member of {activity_id}"
+                    return REASON_MEMBERSHIP, reason, None
+        verdict = self.resolution.route(
+            request.sender, request.receiver, request.interaction
+        )
+        # verdict.cross_org without the property call (hot path)
+        if verdict.sender_org != verdict.receiver_org:
+            active = request.profile if request.profile is not None else _ALL_ON
+            if not active.organisation:
+                return (
+                    REASON_ORGANISATION_OPAQUE,
+                    f"cross-organisation exchange ({verdict.sender_org} -> "
+                    f"{verdict.receiver_org}) with organisation transparency off",
+                    verdict,
+                )
+            if not verdict.policy_ok:
+                return (
+                    REASON_POLICY,
+                    f"no compatible policy between {verdict.sender_org} and "
+                    f"{verdict.receiver_org} for {request.interaction}",
+                    verdict,
+                )
+        return "", "", verdict
+
+    def _run(
         self,
-        group: "list[ExchangeRequest]",
+        run: "list[ExchangeRequest]",
         trace_id: str,
         outcomes: list[ExchangeOutcome],
-    ) -> None:
-        """Run one same-route run of a batch, resolving shared state once.
+    ) -> tuple[int, int]:
+        """Serve a run of same-route requests: the one exchange pipeline.
 
-        Mirrors :meth:`_exchange` check-for-check (same order, same
-        reason strings) with the route-constant work hoisted out of the
-        per-document loop.  Appends one outcome per request to
-        *outcomes*; per-item metrics stay suppressed (the caller flushes
-        the aggregate).
+        Appends an outcome per served request to *outcomes* and returns
+        ``(served, delivered)``.  The stages, in per-request order:
+
+        1. admit — the run's deadline, then :meth:`_admit` (membership,
+           organisation/policy);
+        2. formats/view — the app pair's native formats;
+        3. translate — once per document object;
+        4. time/shed — receiver endpoint, presence and queue depth;
+        5. deliver/log — bus event, rendering, delivery or
+           store-and-forward queueing, communication log row;
+        6. account — exchange counters, outcome and transparency
+           metrics, the shed event (a failure's reason is counted where
+           the item fails, an expired deadline where it is found).
+
+        A run failing stage 1 or 2 fails as a whole: nothing was
+        delivered, so no callback can have changed the answer.  Later
+        stages run per item, and membership is re-checked per item
+        because a callback may make someone leave the activity.
+        A callback that mutates the knowledge base moves the resolution
+        cache's ``generation``; the run then stops before its next item
+        and the caller starts a fresh run for the rest.
         """
-        head = group[0]
-        size = len(group)
+        head = run[0]
         sender = head.sender
         receiver = head.receiver
         sender_app = head.sender_app
         receiver_app = head.receiver_app
         activity_id = head.activity_id
-        self.exchanges_attempted += size
         active = head.profile if head.profile is not None else _ALL_ON
+        resolution = self.resolution
+        now = self.world.now
+        metered = self.metrics.enabled
+        synchronous = asynchronous = failed = shed = 0
 
-        def fail_all(code: str, reason: str) -> None:
-            self.exchanges_failed += size
-            outcomes.extend(
-                [
-                    ExchangeOutcome(
-                        delivered=False,
-                        mode="failed",
-                        reason=reason,
-                        reason_code=code,
-                        trace_id=trace_id,
-                    )
-                ]
-                * size
-            )
-
-        handled: list[str] = []
-        # Deadline first, as in _exchange (the run shares one deadline).
+        # 1. admit.  The deadline comes first: an exchange arriving
+        # expired (e.g. after gateway hops) must not consume pipeline work.
         expires_at = self.effective_deadline(head.deadline)
-        if expires_at is not None and self.world.now >= expires_at:
-            if self.metrics.enabled:
-                self._m_shed_expired.inc(size)
+        if expires_at is not None and now >= expires_at:
+            code = REASON_DEADLINE_EXCEEDED
+            reason = f"exchange deadline {expires_at:.3f} passed at {now:.3f}"
+            if metered:
+                self._m_shed_expired.inc(len(run))
             if self.events.enabled:
                 self.events.record(
-                    self.world.now,
+                    now,
                     KIND_DEADLINE,
                     trace_id=trace_id,
                     env=self.name,
                     receiver=receiver,
                     deadline=expires_at,
-                    batch=size,
+                    batch=len(run),
                 )
-            return fail_all(
-                REASON_DEADLINE_EXCEEDED,
-                f"exchange deadline {expires_at:.3f} passed at {self.world.now:.3f}",
-            )
-        if activity_id:
-            activity = self.activities.get(activity_id)
-            for person in (sender, receiver):
-                if not activity.is_member(person):
-                    return fail_all(
-                        REASON_MEMBERSHIP,
-                        f"{person} is not a member of {activity_id}",
-                    )
-
-        verdict = self.resolution.route(sender, receiver, head.interaction)
-        if verdict.cross_org:
-            if not active.organisation:
-                return fail_all(
-                    REASON_ORGANISATION_OPAQUE,
-                    f"cross-organisation exchange ({verdict.sender_org} -> "
-                    f"{verdict.receiver_org}) with organisation transparency off",
-                )
-            if not verdict.policy_ok:
-                return fail_all(
-                    REASON_POLICY,
-                    f"no compatible policy between {verdict.sender_org} and "
-                    f"{verdict.receiver_org} for {head.interaction}",
-                )
-            handled.append("organisation")
-
-        sender_format, receiver_format = self.resolution.formats(sender_app, receiver_app)
-        needs_translation = sender_format != receiver_format
-        if needs_translation:
-            if not active.view:
-                return fail_all(
-                    REASON_VIEW_OPAQUE,
-                    f"format mismatch ({sender_format} -> {receiver_format}) "
-                    "with view transparency off",
-                )
-            handled.append("view")
-
-        try:
-            endpoint = self.communicators.get(receiver)
-        except UnknownObjectError:
-            return fail_all(
-                REASON_UNKNOWN_RECEIVER,
-                f"receiver {receiver!r} has no registered communicator",
-            )
-
-        if active.activity and activity_id:
-            topic = f"activity/{activity_id}/exchange"
-            handled.append("activity")
         else:
-            topic = "exchange"
-        handled_tuple = tuple(handled)
-        # the time dimension slots in before the (group-constant)
-        # activity dimension, matching _exchange's append order
-        time_index = len(handled_tuple) - (1 if handled_tuple[-1:] == ("activity",) else 0)
-        handled_async = handled_tuple[:time_index] + ("time",) + handled_tuple[time_index:]
-
-        translate = self._translate_payload
-        render = self.views.render
-        deliver = self.applications.deliver
-        pending = self._pending_deliveries
-        publish = self.bus.publish
-        log = self.communication_log.append
-        now = self.world.now
-        #: id(document) -> (payload, fidelity, size_bytes); repeated
-        #: documents in a run translate and size once
-        prepared: dict[int, tuple[dict[str, Any], float, int]] = {}
-        #: (id(document), mode) -> the (frozen, shareable) outcome
-        made: dict[tuple[int, str], ExchangeOutcome] = {}
-        failed = 0
-        shed = 0
-        sync_count = 0
-        async_count = 0
-        resolution = self.resolution
-        generation = resolution.generation
-        #: set when a mid-run KB mutation turned the route bad: every
-        #: remaining item fails with this (code, reason) until the next
-        #: mutation (if any) re-resolves the route as good again
-        stale_failure: "tuple[str, str] | None" = None
-        for request in group:
-            if resolution.generation != generation:
-                # A delivery callback mutated the KB mid-run; the hoisted
-                # verdict may be stale.  Re-resolve before serving more
-                # items, mirroring _exchange's checks and reason strings.
-                generation = resolution.generation
-                stale_failure = None
-                handled = []
-                verdict = resolution.route(sender, receiver, head.interaction)
-                if verdict.cross_org:
-                    if not active.organisation:
-                        stale_failure = (
-                            REASON_ORGANISATION_OPAQUE,
-                            f"cross-organisation exchange ({verdict.sender_org} -> "
-                            f"{verdict.receiver_org}) with organisation transparency off",
-                        )
-                    elif not verdict.policy_ok:
-                        stale_failure = (
-                            REASON_POLICY,
-                            f"no compatible policy between {verdict.sender_org} and "
-                            f"{verdict.receiver_org} for {head.interaction}",
+            code, reason, verdict = self._admit(head)
+        # 2. formats/view (memoised per app pair)
+        if not code:
+            source_format, target_format = resolution.formats(sender_app, receiver_app)
+            translated = source_format != target_format
+            handled: tuple[str, ...] = (
+                ("organisation",) if verdict.sender_org != verdict.receiver_org else ()
+            )
+            if translated:
+                if not active.view:
+                    code = REASON_VIEW_OPAQUE
+                    reason = (
+                        f"format mismatch ({source_format} -> {target_format}) "
+                        "with view transparency off"
+                    )
+                handled += ("view",)
+        if code:
+            failed = len(run)
+            failure = ExchangeOutcome(
+                delivered=False,
+                mode="failed",
+                reason=reason,
+                reason_code=code,
+                trace_id=trace_id,
+            )
+            outcomes.extend([failure] * failed)
+            if metered:
+                self._reason_counter(code).inc(failed)
+        else:
+            # Activity dimension: scoped vs global event publication; the
+            # time dimension slots in before it.
+            if active.activity and activity_id:
+                topic = f"activity/{activity_id}/exchange"
+                handled_async = handled + ("time", "activity")
+                handled += ("activity",)
+            else:
+                topic = "exchange"
+                handled_async = handled + ("time",)
+            is_member = self.activities.get(activity_id).is_member if activity_id else None
+            #: the document that payload, size_bytes and made belong to
+            prepared = None
+            generation = resolution.generation
+            for request in run:
+                if resolution.generation != generation:
+                    break  # a callback mutated the KB: re-route the rest
+                if is_member is not None and not (is_member(sender) and is_member(receiver)):
+                    code, reason, _ = self._admit(request)
+                elif request.document is not prepared:
+                    # 3. translate
+                    prepared = None
+                    payload = dict(request.document)
+                    fidelity = 1.0
+                    if translated:
+                        try:
+                            result = self._translate_payload(
+                                source_format, target_format, payload, head.min_fidelity
+                            )
+                        except FidelityError as exc:
+                            code, reason = REASON_FIDELITY, str(exc)
+                        except InteropError as exc:
+                            code, reason = REASON_TRANSLATION, str(exc)
+                        else:
+                            payload = result.document
+                            fidelity = result.fidelity
+                    if not code:
+                        prepared = request.document
+                        size_bytes = document_size(payload)
+                        #: the (frozen, shareable) delivered outcome
+                        made = None
+                if not code:
+                    # 4. time/shed.  The endpoint, its presence and the
+                    # queue depth are read per item: a callback may remove
+                    # the endpoint or flip presence, and each queued
+                    # delivery counts against the next shed check.  A
+                    # receiver who was *never* registered is a hard
+                    # failure, not an absence: queueing for them would
+                    # blackhole the document in _pending_deliveries.
+                    try:
+                        present = self.communicators.get(receiver).present
+                    except UnknownObjectError:
+                        present = None
+                    if present is None:
+                        code = REASON_UNKNOWN_RECEIVER
+                        reason = f"receiver {receiver!r} has no registered communicator"
+                    elif present:
+                        mode = "synchronous"
+                    elif not active.time:
+                        code = REASON_TIME_OPAQUE
+                        reason = f"receiver {receiver} absent with time transparency off"
+                    elif (
+                        head.priority <= 0
+                        and self._shed_limit is not None
+                        and len(self._pending_deliveries.get(receiver, ()))
+                        >= self._shed_limit
+                    ):
+                        shed += 1
+                        code = REASON_OVERLOAD
+                        reason = (
+                            f"receiver {receiver} has {self._shed_limit} deliveries "
+                            "queued; shedding to protect the environment"
                         )
                     else:
-                        handled.append("organisation")
-                if stale_failure is None:
-                    sender_format, receiver_format = resolution.formats(
-                        sender_app, receiver_app
-                    )
-                    needs_translation = sender_format != receiver_format
-                    if needs_translation:
-                        if not active.view:
-                            stale_failure = (
-                                REASON_VIEW_OPAQUE,
-                                f"format mismatch ({sender_format} -> {receiver_format}) "
-                                "with view transparency off",
-                            )
-                        else:
-                            handled.append("view")
-                if stale_failure is None:
-                    # the endpoint is hoisted state too: a callback that
-                    # deregisters the receiver (e.g. a federation-level
-                    # move to another home) must fail the remaining
-                    # items, not deliver them to the stale endpoint
-                    try:
-                        endpoint = self.communicators.get(receiver)
-                    except UnknownObjectError:
-                        stale_failure = (
-                            REASON_UNKNOWN_RECEIVER,
-                            f"receiver {receiver!r} has no registered communicator",
+                        mode = "asynchronous"
+                if code:  # the item fails; the run goes on
+                    failed += 1
+                    if metered:
+                        self._reason_counter(code).inc()
+                    outcomes.append(
+                        ExchangeOutcome(
+                            delivered=False,
+                            mode="failed",
+                            reason=reason,
+                            reason_code=code,
+                            trace_id=trace_id,
                         )
-                if stale_failure is None:
-                    if active.activity and activity_id:
-                        handled.append("activity")
-                    handled_tuple = tuple(handled)
-                    time_index = len(handled_tuple) - (
-                        1 if handled_tuple[-1:] == ("activity",) else 0
                     )
-                    handled_async = (
-                        handled_tuple[:time_index] + ("time",) + handled_tuple[time_index:]
+                    code = ""
+                    continue
+                # 5. deliver/log — immediately when the receiver is
+                # present, queued for their return otherwise
+                info = {
+                    "sender": sender,
+                    "sender_app": sender_app,
+                    "mode": mode,
+                    "fidelity": fidelity,
+                    "activity": activity_id,
+                }
+                self.bus.publish(topic, info, source=sender_app, time=now)
+                rendered = self.views.render(receiver, payload)
+                if mode == "synchronous":
+                    self.applications.deliver(receiver_app, receiver, rendered, info)
+                    synchronous += 1
+                else:
+                    self._pending_deliveries.setdefault(receiver, []).append(
+                        (receiver_app, rendered, info, expires_at)
                     )
-                    prepared.clear()
-                    made.clear()
-            if stale_failure is not None:
-                failed += 1
-                outcomes.append(
-                    ExchangeOutcome(
-                        delivered=False,
-                        mode="failed",
-                        reason=stale_failure[1],
-                        reason_code=stale_failure[0],
+                    asynchronous += 1
+                self.communication_log.append(
+                    sender, receiver, mode, "document", size_bytes, now,
+                    activity_id, verdict.sender_org, verdict.receiver_org,
+                )
+                if metered:
+                    self._m_document_bytes.observe(size_bytes)
+                if made is None or made.mode != mode:
+                    made = ExchangeOutcome(
+                        delivered=True,
+                        mode=mode,
+                        reason=f"delivered ({mode})",
+                        translated=translated,
+                        fidelity=fidelity,
+                        handled=handled if mode == "synchronous" else handled_async,
+                        reason_code=REASON_DELIVERED,
                         trace_id=trace_id,
+                        size_bytes=size_bytes,
                     )
-                )
-                continue
-            document = request.document
-            doc_key = id(document)
-            entry = prepared.get(doc_key)
-            if entry is None:
-                payload = dict(document)
-                fidelity = 1.0
-                if needs_translation:
-                    try:
-                        result = translate(
-                            sender_format, receiver_format, payload, head.min_fidelity
-                        )
-                    except InteropError as exc:
-                        failed += 1
-                        outcomes.append(
-                            ExchangeOutcome(
-                                delivered=False,
-                                mode="failed",
-                                reason=str(exc),
-                                reason_code=REASON_FIDELITY
-                                if isinstance(exc, FidelityError)
-                                else REASON_TRANSLATION,
-                                trace_id=trace_id,
-                            )
-                        )
-                        continue
-                    payload = result.document
-                    fidelity = result.fidelity
-                entry = (payload, fidelity, document_size(payload))
-                prepared[doc_key] = entry
-            payload, fidelity, size_bytes = entry
+                outcomes.append(made)
 
-            # presence is re-read per item: a delivery callback may flip it
-            if endpoint.present:
-                mode = "synchronous"
-                sync_count += 1
-            else:
-                if not active.time:
-                    failed += 1
-                    outcomes.append(
-                        ExchangeOutcome(
-                            delivered=False,
-                            mode="failed",
-                            reason=f"receiver {receiver} absent "
-                            "with time transparency off",
-                            reason_code=REASON_TIME_OPAQUE,
-                            trace_id=trace_id,
-                        )
-                    )
-                    continue
-                # queue depth is re-read per item: each queued delivery
-                # counts against the next one's shed check
-                if (
-                    head.priority <= 0
-                    and self._shed_limit is not None
-                    and len(pending.get(receiver, ())) >= self._shed_limit
-                ):
-                    failed += 1
-                    shed += 1
-                    outcomes.append(
-                        ExchangeOutcome(
-                            delivered=False,
-                            mode="failed",
-                            reason=f"receiver {receiver} has "
-                            f"{self._shed_limit} deliveries queued; "
-                            "shedding to protect the environment",
-                            reason_code=REASON_OVERLOAD,
-                            trace_id=trace_id,
-                        )
-                    )
-                    continue
-                mode = "asynchronous"
-                async_count += 1
-
-            info = {
-                "sender": sender,
-                "sender_app": sender_app,
-                "mode": mode,
-                "fidelity": fidelity,
-                "activity": activity_id,
-            }
-            publish(topic, info, source=sender_app, time=now)
-            rendered = render(receiver, payload)
-            if mode == "synchronous":
-                deliver(receiver_app, receiver, rendered, info)
-            else:
-                pending.setdefault(receiver, []).append(
-                    (receiver_app, rendered, info, expires_at)
-                )
-            log(
-                sender, receiver, mode, "document", size_bytes, now,
-                activity_id, verdict.sender_org, verdict.receiver_org,
-            )
-            outcome_key = (doc_key, mode)
-            outcome = made.get(outcome_key)
-            if outcome is None:
-                outcome = ExchangeOutcome(
-                    delivered=True,
-                    mode=mode,
-                    reason=f"delivered ({mode})",
-                    translated=needs_translation,
-                    fidelity=fidelity,
-                    handled=handled_async if mode == "asynchronous" else handled_tuple,
-                    reason_code=REASON_DELIVERED,
-                    trace_id=trace_id,
-                    size_bytes=size_bytes,
-                )
-                made[outcome_key] = outcome
-            outcomes.append(outcome)
-
-        self.exchanges_failed += failed
+        # 6. account (each failure's reason was counted where it failed)
+        delivered = synchronous + asynchronous
+        served = delivered + failed
+        self.exchanges_attempted += served
+        if metered:
+            self._m_attempted.inc(served)
+            if delivered:
+                self._m_delivered.inc(delivered)
+                self._m_reason_delivered.inc(delivered)
+                transparency = self._m_transparency
+                if synchronous:
+                    for dimension in handled:
+                        transparency[dimension].inc(synchronous)
+                if asynchronous:
+                    for dimension in handled_async:
+                        transparency[dimension].inc(asynchronous)
+        if failed:
+            self.exchanges_failed += failed
+            if metered:
+                self._m_failed.inc(failed)
         if shed:
-            if self.metrics.enabled:
+            if metered:
                 self._m_shed_overload.inc(shed)
             if self.events.enabled:
                 self.events.record(
@@ -1085,32 +863,10 @@ class CSCWEnvironment:
                     env=self.name,
                     receiver=receiver,
                     dropped=shed,
-                    batch=True,
+                    batch=served,
                     shed_class=head.shed_class,
                 )
-
-    def _flush_batch_metrics(self, outcomes: "list[ExchangeOutcome]") -> None:
-        """Record one batch's outcomes as if each had been counted live."""
-        self._m_attempted.inc(len(outcomes))
-        reasons: dict[str, int] = {}
-        dimensions: dict[str, int] = {}
-        delivered = 0
-        size_histogram = self._m_document_bytes
-        for outcome in outcomes:
-            reasons[outcome.reason_code] = reasons.get(outcome.reason_code, 0) + 1
-            if outcome.delivered:
-                delivered += 1
-                for dimension in outcome.handled:
-                    dimensions[dimension] = dimensions.get(dimension, 0) + 1
-                size_histogram.observe(outcome.size_bytes)
-        if delivered:
-            self._m_delivered.inc(delivered)
-        if delivered != len(outcomes):
-            self._m_failed.inc(len(outcomes) - delivered)
-        for code, count in reasons.items():
-            self._reason_counter(code).inc(count)
-        for dimension, count in dimensions.items():
-            self._m_transparency[dimension].inc(count)
+        return served, delivered
 
     # -- runtime overload knobs (driven by the control plane) -------------------
     @property
@@ -1140,8 +896,6 @@ class CSCWEnvironment:
         """Change the default deadline at runtime (same contract as the
         builder's ``with_default_deadline``); applies to exchanges
         started after the call."""
-        from repro.util.errors import ConfigurationError
-
         if seconds is not None and seconds <= 0:
             raise ConfigurationError("default deadline must be > 0 (or None)")
         self._default_deadline_s = seconds

@@ -41,16 +41,12 @@ from typing import TYPE_CHECKING, Any
 from repro.communication.model import Communicator
 from repro.environment.environment import (
     REASON_DEADLINE_EXCEEDED,
-    REASON_MEMBERSHIP,
-    REASON_ORGANISATION_OPAQUE,
-    REASON_POLICY,
     REASON_UNKNOWN_RECEIVER,
     CSCWEnvironment,
     ExchangeOutcome,
     ExchangeRequest,
 )
 from repro.environment.registry import AppDescriptor, DeliveryCallback
-from repro.environment.transparency import TransparencyProfile
 from repro.directory.replication import ShadowingAgreement
 from repro.federation.domain import Domain
 from repro.federation.gateway import (
@@ -653,14 +649,13 @@ class Federation:
         :meth:`ExchangeRequest.from_kwargs`.
 
         Intra-domain exchanges run the home environment's pipeline
-        unchanged.  Cross-domain exchanges run the origin-side checks
-        (activity membership, organisation/policy — the same checks in
-        the same order with the same reason codes as
-        :meth:`CSCWEnvironment.exchange`), relay the payload through the
-        origin's gateway, and re-enter the *target* environment's local
-        exchange pipeline, so view/time/activity handling and all
-        remaining failure modes are decided exactly as at home.  A relay
-        that exhausts its gateway attempts returns a
+        unchanged.  Cross-domain exchanges run the origin environment's
+        admit stage (activity membership, organisation/policy — the very
+        stage :meth:`CSCWEnvironment.exchange` runs), relay the payload
+        through the origin's gateway, and re-enter the *target*
+        environment's local exchange pipeline, so view/time/activity
+        handling and all remaining failure modes are decided exactly as
+        at home.  A relay that exhausts its gateway attempts returns a
         :data:`REASON_GATEWAY_DEAD_LETTER` outcome and parks the payload
         in the gateway's dead-letter queue.
 
@@ -852,16 +847,10 @@ class Federation:
         shipped_indices: list[int] = []
         shipped: list[ExchangeRequest] = []
         for index, request in enumerate(run):
-            expires_at = origin.env.effective_deadline(request.deadline)
-            if expires_at is not None and started >= expires_at:
-                if obs.enabled:
-                    self._m_expired.inc()
+            expires_at, expired = self._deadline(origin, request)
+            if expired is not None:
                 results[index] = FederatedOutcome(
-                    outcome=origin.env._fail(
-                        REASON_DEADLINE_EXCEEDED,
-                        f"federated exchange deadline {expires_at:.3f} "
-                        f"already passed at {started:.3f}",
-                    ),
+                    outcome=expired,
                     origin=origin.name,
                     target="",
                     hops=(Hop(origin.name, "local", started),),
@@ -903,18 +892,11 @@ class Federation:
         origin = self.domain(
             route[0] if route is not None else self.home_of(request.sender)
         )
-        sender, receiver = request.sender, request.receiver
-        expires_at = origin.env.effective_deadline(request.deadline)
-        if expires_at is not None and self.world.now >= expires_at:
-            if obs.enabled:
-                self._m_expired.inc()
-            outcome = origin.env._fail(
-                REASON_DEADLINE_EXCEEDED,
-                f"federated exchange deadline {expires_at:.3f} already passed "
-                f"at {self.world.now:.3f}",
-            )
+        receiver = request.receiver
+        expires_at, expired = self._deadline(origin, request)
+        if expired is not None:
             return FederatedOutcome(
-                outcome=outcome,
+                outcome=expired,
                 origin=origin.name,
                 target="",
                 hops=(Hop(origin.name, "local", self.world.now),),
@@ -946,56 +928,36 @@ class Federation:
                 if request.deadline == expires_at
                 else replace(request, deadline=expires_at)
             )
+            now = self.world.now
             return FederatedOutcome(
                 outcome=outcome,
                 origin=origin.name,
                 target=origin.name,
-                hops=(Hop(origin.name, "local", self.world.now),),
-                latency_s=self.world.now - started,
+                hops=(Hop(origin.name, "local", now),),
+                latency_s=now - started,
             )
         if obs.enabled:
             self._m_remote.inc()
         target = self.domain(target_name)
         return self._relay_exchange(origin, target, request, expires_at)
 
-    def _origin_checks(
+    def _deadline(
         self, origin: Domain, request: ExchangeRequest
-    ) -> tuple[str, str] | None:
-        """Origin-side checks, mirroring ``CSCWEnvironment._exchange``.
-
-        Returns ``(reason_code, reason)`` on failure, ``None`` when the
-        request may be relayed — same checks, same order, same reason
-        codes as a single-domain run.
-        """
-        sender, receiver = request.sender, request.receiver
-        active = (
-            request.profile
-            if request.profile is not None
-            else TransparencyProfile.all_on()
+    ) -> tuple[float | None, ExchangeOutcome | None]:
+        """The request's effective deadline at *origin*, and the failed
+        outcome (counted as expired) when it has already passed."""
+        expires_at = origin.env.effective_deadline(request.deadline)
+        if expires_at is None:
+            return None, None
+        now = self.world.now
+        if now < expires_at:
+            return expires_at, None
+        if self._metrics.enabled:
+            self._m_expired.inc()
+        return expires_at, origin.env._fail(
+            REASON_DEADLINE_EXCEEDED,
+            f"federated exchange deadline {expires_at:.3f} already passed at {now:.3f}",
         )
-        if request.activity_id:
-            activity = origin.env.activities.get(request.activity_id)
-            for person in (sender, receiver):
-                if not activity.is_member(person):
-                    return (
-                        REASON_MEMBERSHIP,
-                        f"{person} is not a member of {request.activity_id}",
-                    )
-        verdict = origin.env.resolution.route(sender, receiver, request.interaction)
-        if verdict.cross_org:
-            if not active.organisation:
-                return (
-                    REASON_ORGANISATION_OPAQUE,
-                    f"cross-organisation exchange ({verdict.sender_org} -> "
-                    f"{verdict.receiver_org}) with organisation transparency off",
-                )
-            if not verdict.policy_ok:
-                return (
-                    REASON_POLICY,
-                    f"no compatible policy between {verdict.sender_org} and "
-                    f"{verdict.receiver_org} for {request.interaction}",
-                )
-        return None
 
     def _mediation_metadata(
         self, origin: Domain, request: ExchangeRequest
@@ -1092,9 +1054,9 @@ class Federation:
                 hops=(origin_hop,),
             )
 
-        failure = self._origin_checks(origin, request)
-        if failure is not None:
-            return fail(*failure)
+        code, reason, _ = origin.env._admit(request)
+        if code:
+            return fail(code, reason)
 
         payload = request.to_document()
         payload["document"] = dict(request.document)
@@ -1223,32 +1185,21 @@ class Federation:
         origin_hop = Hop(origin.name, "origin", started)
         results: list[FederatedOutcome | None] = [None] * len(run)
 
-        def local_fail(index: int, code: str, reason: str) -> None:
-            if obs.enabled and code == REASON_DEADLINE_EXCEEDED:
-                self._m_expired.inc()
+        shipped: list[tuple[int, ExchangeRequest, float | None]] = []
+        for index, request in enumerate(run):
+            expires_at, failed = self._deadline(origin, request)
+            if failed is None:
+                code, reason, _ = origin.env._admit(request)
+                if not code:
+                    shipped.append((index, request, expires_at))
+                    continue
+                failed = origin.env._fail(code, reason)
             results[index] = FederatedOutcome(
-                outcome=origin.env._fail(code, reason),
+                outcome=failed,
                 origin=origin.name,
                 target=target.name,
                 hops=(origin_hop,),
             )
-
-        shipped: list[tuple[int, ExchangeRequest, float | None]] = []
-        for index, request in enumerate(run):
-            expires_at = origin.env.effective_deadline(request.deadline)
-            if expires_at is not None and started >= expires_at:
-                local_fail(
-                    index,
-                    REASON_DEADLINE_EXCEEDED,
-                    f"federated exchange deadline {expires_at:.3f} already "
-                    f"passed at {started:.3f}",
-                )
-                continue
-            failure = self._origin_checks(origin, request)
-            if failure is not None:
-                local_fail(index, *failure)
-                continue
-            shipped.append((index, request, expires_at))
         if not shipped:
             return [result for result in results if result is not None]
 

@@ -5,10 +5,15 @@ Covers the cache-correctness risk directly: a revoked policy, a person
 moving organisation or a new application registering mid-run must all be
 visible to the very next exchange (no stale-cache deliveries), and the
 cached path must produce field-identical outcomes to the uncached one.
+``exchange`` and ``exchange_many`` share one pipeline: they report the
+same failure for the same request, and their cost is pinned as a count
+of Python calls per warm operation.
 """
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 from dataclasses import fields
 
 import pytest
@@ -18,12 +23,16 @@ from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
 from repro.environment.environment import (
     REASON_DELIVERED,
+    REASON_FIDELITY,
+    REASON_MEMBERSHIP,
     REASON_POLICY,
     REASON_UNKNOWN_RECEIVER,
     CSCWEnvironment,
     ExchangeOutcome,
     ExchangeRequest,
 )
+from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
+from repro.information.interchange import FormatConverter, make_common
 from repro.obs import MetricsRegistry, Tracer
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
@@ -328,3 +337,135 @@ class TestInterchangePlanCache:
         second = env.interchange.translate("conference", "memo",
                                            {"topic": "t", "entry": "e", "author": "a"})
         assert first == second
+
+
+def register_app(env, name, on_deliver=None, fidelity=1.0):
+    """An app speaking its own format *name* (mapped into the common form
+    with the given *fidelity*)."""
+    converter = FormatConverter(
+        name,
+        lambda document: make_common("note", document.get("title", ""), ""),
+        lambda common: {"title": common["title"]},
+        fidelity=fidelity,
+    )
+    env.register_application(
+        AppDescriptor(
+            name=name, quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE], converter=converter
+        ),
+        on_deliver or (lambda person, document, info: None),
+    )
+
+
+class TestOnePipeline:
+    """``exchange`` and ``exchange_many`` report the same outcome, in the
+    same check order, for the same request."""
+
+    def test_translation_is_checked_before_the_receiver_endpoint(self, env):
+        # wolf stays known to the KB but loses his communicator; the
+        # lossy plan (fidelity 0.8) misses a 0.9 floor.  The translation
+        # stage runs before the receiver lookup, in both entry points.
+        register_app(env, "scanner", fidelity=0.8)
+        env.deregister_person("wolf")
+        request = ExchangeRequest(
+            "ana", "wolf", "scanner", "message-system", {"title": "scan"},
+            min_fidelity=0.9,
+        )
+        single = env.exchange(request)
+        [batched] = env.exchange_many([request])
+        assert single.reason_code == REASON_FIDELITY
+        assert batched.reason_code == REASON_FIDELITY
+        assert outcome_fields(batched) == outcome_fields(single)
+
+    def test_receiver_endpoint_is_read_per_item(self, env):
+        # a bus subscriber removes wolf's endpoint while the first
+        # exchange is delivered; the knowledge base does not change
+        env.bus.subscribe("exchange", lambda event: env.deregister_person("wolf"))
+        request = ExchangeRequest("ana", "wolf", "conferencing", "message-system", DOC)
+        expected = [REASON_DELIVERED, REASON_UNKNOWN_RECEIVER, REASON_UNKNOWN_RECEIVER]
+        assert [env.exchange(request).reason_code for _ in range(3)] == expected
+        env.register_person(Communicator("wolf", "ws-wolf"))
+        assert [o.reason_code for o in env.exchange_many([request] * 3)] == expected
+
+    def test_membership_is_rechecked_after_each_delivery(self, env):
+        activity = env.create_activity("review", "review", {"ana": "chair", "wolf": "member"})
+
+        def leave_on_delivery(person, document, info):
+            if activity.is_member(person):
+                activity.leave(person)
+
+        register_app(env, "minutes", on_deliver=leave_on_delivery)
+        request = ExchangeRequest(
+            "ana", "wolf", "minutes", "minutes", {"title": "t"}, activity_id="review"
+        )
+        expected = [REASON_DELIVERED, REASON_MEMBERSHIP, REASON_MEMBERSHIP]
+        assert [env.exchange(request).reason_code for _ in range(3)] == expected
+        activity.join("wolf")
+        assert [o.reason_code for o in env.exchange_many([request] * 3)] == expected
+        assert env.exchanges_attempted == 6
+        assert env.exchanges_failed == 4
+
+
+def total_calls(operation, warm_up: int, repeats: int) -> int:
+    """Python and builtin calls over *repeats* runs of *operation*, after
+    *warm_up* unprofiled runs, as counted by cProfile.
+
+    The raw per-function entries are summed: ``pstats`` keys functions
+    by (file, line, name), so the generated ``__init__`` of different
+    dataclasses (all ``<string>:2``) collide there and all but one drop
+    out of ``Stats.total_calls`` — which one depends on memory layout.
+    """
+    for _ in range(warm_up):
+        operation()
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(repeats):
+        operation()
+    profile.disable()
+    # less the one call of ``disable`` itself
+    return sum(entry.callcount for entry in profile.getstats()) - 1
+
+
+class TestCallCounts:
+    """The pipeline's cost as a count of calls per warm operation.
+
+    Counts are deterministic (the tracer's sampling is seeded), so these
+    are exact ceilings, not timings.  They are the counts of the two
+    separate code paths the pipeline replaced, rounded up: a run of one
+    must cost no more than the old per-request path, and a 32-item run
+    no more per item than the old batched path.  Each operation includes
+    the one call of the lambda that drives it.
+    """
+
+    CEILINGS = {
+        # (observed, operation): calls per exchange
+        (True, "exchange"): 105.4,
+        (True, "same-document run"): 42.7,
+        (True, "distinct-document run"): 65.0,
+        (False, "exchange"): 71.0,
+        (False, "same-document run"): 32.6,
+        (False, "distinct-document run"): 53.9,
+    }
+
+    @pytest.mark.parametrize("observed, operation", sorted(CEILINGS))
+    def test_calls_per_exchange(self, observed, operation):
+        if observed:
+            env = make_env(
+                World(seed=0),
+                metrics=MetricsRegistry(),
+                tracer=Tracer().configure_sampling(0.1, seed=0),
+            )
+        else:
+            env = make_env(World(seed=0))
+        request = ExchangeRequest("ana", "wolf", "conferencing", "message-system", DOC)
+        if operation == "exchange":
+            calls = total_calls(lambda: env.exchange(request), 200, 2000) / 2000
+        else:
+            if operation == "same-document run":
+                run = [request] * 32
+            else:
+                run = [
+                    ExchangeRequest("ana", "wolf", "conferencing", "message-system", dict(DOC))
+                    for _ in range(32)
+                ]
+            calls = total_calls(lambda: env.exchange_many(run), 200, 200) / (200 * 32)
+        assert calls <= self.CEILINGS[observed, operation], calls

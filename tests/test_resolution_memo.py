@@ -9,10 +9,12 @@ person has been seen.  Two properties pin that design:
   random cross-org traffic never consults the knowledge base or the
   policy registry again;
 * a Hypothesis state machine — under any interleaving of hires (through
-  the KB or directly on an Organisation), moves, removals, policy churn
-  and exchanges (unknown ids included), a warm environment's outcomes
-  equal those of a ``with_resolution_cache(False)`` twin fed the same
-  history.
+  the KB or directly on an Organisation), moves, removals, policy churn,
+  endpoint removal and re-registration, activity joins and leaves,
+  presence flips and exchanges (unknown ids included), a warm
+  environment's outcomes equal those of a ``with_resolution_cache(False)``
+  twin fed the same history, and per-request ``exchange`` calls equal
+  one ``exchange_many`` over the same requests.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ def register_endpoint(env, person_id: str, site: str) -> None:
     env.register_person(Communicator(person_id, node))
 
 
-def request(sender: str, receiver: str, interaction: str = INTERACTION_MESSAGE):
+def request(sender: str, receiver: str, interaction: str = INTERACTION_MESSAGE,
+            activity_id: str = ""):
     return ExchangeRequest(sender, receiver, "producer", "consumer", DOC,
-                           interaction=interaction)
+                           interaction=interaction, activity_id=activity_id)
 
 
 def outcome_fields(outcome) -> dict:
@@ -109,6 +112,19 @@ NAMES = ("n0", "n1")
 GHOSTS = ("ghost",)
 INITIAL = tuple(f"p-{org}" for org in ORGS)
 EVERYONE = INITIAL + NAMES + GHOSTS
+#: people with an endpoint at the start
+ENDPOINTS = INITIAL + NAMES
+#: the one activity; its first members are the first two initial people
+ACTIVITY = "review"
+#: one request per (sender, receiver, activity scope), twice over, so
+#: exchange_many groups each pair into a run of two
+ENTRY_POINT_BATCH = [
+    request(sender, receiver, activity_id=activity_id)
+    for sender in (INITIAL[0], NAMES[0])
+    for receiver in EVERYONE
+    for activity_id in ("", ACTIVITY)
+    for _ in range(2)
+]
 
 
 class WarmColdParity(RuleBasedStateMachine):
@@ -125,7 +141,11 @@ class WarmColdParity(RuleBasedStateMachine):
             # endpoints exist before the KB knows the people behind them
             for name in NAMES:
                 register_endpoint(env, name, "upc")
+            env.create_activity(ACTIVITY, "parity review",
+                                {person: "member" for person in INITIAL[:2]})
         self.members = set(INITIAL)
+        #: person -> node of an endpoint removed from both environments
+        self.unplugged: dict[str, str] = {}
 
     def envs(self):
         return (self.warm, self.cold)
@@ -172,6 +192,50 @@ class WarmColdParity(RuleBasedStateMachine):
     def revoke_policy(self, pair, symmetric):
         for env in self.envs():
             env.knowledge_base.policies.revoke(*pair, symmetric=symmetric)
+
+    @precondition(lambda self: len(self.unplugged) < len(ENDPOINTS))
+    @rule(data=st.data())
+    def deregister_endpoint(self, data):
+        person = data.draw(st.sampled_from(sorted(set(ENDPOINTS) - set(self.unplugged))))
+        for env in self.envs():
+            node = env.communicators.get(person).node
+            env.deregister_person(person)
+        self.unplugged[person] = node
+
+    @precondition(lambda self: self.unplugged)
+    @rule(data=st.data())
+    def reregister_endpoint(self, data):
+        person = data.draw(st.sampled_from(sorted(self.unplugged)))
+        node = self.unplugged.pop(person)
+        for env in self.envs():
+            env.register_person(Communicator(person, node))
+
+    @rule(person=st.sampled_from(EVERYONE), join=st.booleans())
+    def join_or_leave_activity(self, person, join):
+        for env in self.envs():
+            activity = env.activities.get(ACTIVITY)
+            if join:
+                activity.join(person)
+            elif activity.is_member(person):
+                activity.leave(person)
+
+    @precondition(lambda self: len(self.unplugged) < len(ENDPOINTS))
+    @rule(data=st.data())
+    def flip_presence(self, data):
+        person = data.draw(st.sampled_from(sorted(set(ENDPOINTS) - set(self.unplugged))))
+        for env in self.envs():
+            if env.communicators.get(person).present:
+                env.person_leaves(person)
+            else:
+                env.person_arrives(person)
+
+    @invariant()
+    def entry_points_agree(self):
+        # per-request exchange on one twin, one exchange_many on the
+        # other: both twins deliver the same items, so they stay in step
+        singles = [self.warm.exchange(ask) for ask in ENTRY_POINT_BATCH]
+        batched = self.cold.exchange_many(ENTRY_POINT_BATCH)
+        assert [outcome_fields(o) for o in singles] == [outcome_fields(o) for o in batched]
 
     @invariant()
     def every_pair_agrees(self):
